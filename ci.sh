@@ -18,8 +18,9 @@
 # and diffs them against the committed BENCH_baseline.json via
 # `stepbench -compare`, which fails hard on allocs/op growth on any
 # zero-alloc path and on ns/op regressions beyond the ±15% noise
-# threshold (ns/op is not gated when the committed baseline came from
-# a different GEMM backend than this machine selects). The committed
+# threshold — ±50% for the entries that cross the loopback — (ns/op is
+# not gated when the committed baseline came from a different GEMM
+# backend than this machine selects). The committed
 # baseline is only replaced under --update-baseline — and never
 # cross-backend — so sub-threshold regressions cannot ratchet
 # silently and a scalar box cannot clobber the avx2 reference; when a
@@ -102,11 +103,13 @@ STEPPINGNET_NOSIMD=1 go test -count=1 -run "$RESUME_TESTS" ./internal/infer ./in
 echo "== fuzz smoke =="
 # Ten seconds per fuzz target on top of the committed seed corpora:
 # enough to shake out regressions in the hardened surfaces (the
-# LatencyModel deadline math, the /infer handler chain and the
-# semantic cache's key/churn/resume paths) without stalling the gate.
-# A real campaign runs them longer by hand.
+# LatencyModel deadline math, the /infer handler chain, the request
+# codec's agreement with encoding/json and the semantic cache's
+# key/churn/resume paths) without stalling the gate. A real campaign
+# runs them longer by hand.
 go test -run='^$' -fuzz=FuzzLatencyModel -fuzztime=10s ./internal/governor
 go test -run='^$' -fuzz=FuzzInferHandler -fuzztime=10s ./cmd/stepserve
+go test -run='^$' -fuzz=FuzzDecodeInferRequest -fuzztime=10s ./internal/cluster
 go test -run='^$' -fuzz=FuzzCacheResume -fuzztime=10s ./internal/serve/cache
 
 echo "== chaos (default backend) =="

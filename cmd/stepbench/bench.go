@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"steppingnet/internal/cluster"
 	"steppingnet/internal/infer"
 	"steppingnet/internal/models"
 	"steppingnet/internal/nn"
@@ -80,6 +84,82 @@ func writeBenchBaseline(path string) error {
 		x := tensor.New(8, 3, 16, 16)
 		x.FillNormal(r, 0, 1)
 		return m.Net, x
+	}
+
+	// newServeModel is the served model of the serve_* and wire-path
+	// entries: the benchmark LeNet with a seeded random unit spread.
+	newServeModel := func() *models.Model {
+		m := models.LeNet3C1L(models.Options{
+			Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
+			Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
+		})
+		r := tensor.NewRNG(9)
+		for _, mv := range m.Movable {
+			a := mv.OutAssignment()
+			for u := 1; u < a.Units(); u++ {
+				a.SetID(u, 1+r.Intn(4))
+			}
+		}
+		return m
+	}
+	// newInferBody is one POST /infer body of the served geometry: 768
+	// standard-normal floats, ≈15 KB of JSON.
+	newInferBody := func(b *testing.B) []byte {
+		in := tensor.New(3 * 16 * 16)
+		in.FillNormal(tensor.NewRNG(4), 0, 1)
+		body, err := json.Marshal(map[string]any{"input": in.Data(), "deadline_ms": 1000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
+	// newCachedReplica stands up the production /infer handler over
+	// loopback in front of a cache-armed server, as a replica mounts it.
+	newCachedReplica := func(b *testing.B) *httptest.Server {
+		m := newServeModel()
+		srv, err := serve.New(serve.Config{
+			Model: m, Subnets: 4, Workers: 1, CacheEntries: 16,
+			DefaultDeadline: time.Second, CalibrationReps: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(srv.Close)
+		ts := httptest.NewServer(&cluster.InferHandler{
+			Submit:   srv.Submit,
+			InputLen: func() int { return m.InC * m.InH * m.InW },
+			Recycle:  true,
+		})
+		b.Cleanup(ts.Close)
+		return ts
+	}
+	// postCached times b.N repeats of one body against url, each a
+	// full cache hit after the first walk.
+	postCached := func(b *testing.B, url string) {
+		body := newInferBody(b)
+		client := &http.Client{Transport: &http.Transport{}}
+		defer client.CloseIdleConnections()
+		var answer bytes.Buffer
+		post := func() {
+			resp, err := client.Post(url+"/infer", "application/json", bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			answer.Reset()
+			_, err = answer.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				b.Fatalf("status %d, read error %v: %s", resp.StatusCode, err, answer.Bytes())
+			}
+		}
+		post()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post()
+			if !bytes.Contains(answer.Bytes(), []byte(`"cache_hit":true`)) {
+				b.Fatalf("repeat missed the cache: %s", answer.Bytes())
+			}
+		}
 	}
 
 	results := make(map[string]benchResult)
@@ -169,17 +249,7 @@ func writeBenchBaseline(path string) error {
 	// batch 8 there vs batch 1 here) is the serving layer's overhead
 	// budget.
 	record(results, "serve_b1_deadline", 0, func(b *testing.B) {
-		m := models.LeNet3C1L(models.Options{
-			Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
-			Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
-		})
-		r := tensor.NewRNG(9)
-		for _, mv := range m.Movable {
-			a := mv.OutAssignment()
-			for u := 1; u < a.Units(); u++ {
-				a.SetID(u, 1+r.Intn(4))
-			}
-		}
+		m := newServeModel()
 		srv, err := serve.New(serve.Config{
 			Model: m, Subnets: 4, Workers: 1,
 			DefaultDeadline: time.Second, CalibrationReps: 1,
@@ -209,17 +279,7 @@ func writeBenchBaseline(path string) error {
 	// serve_b1_deadline is what the semantic cache saves per repeated
 	// key; a regression here means the hit path grew real work.
 	record(results, "serve_b1_cached_resume", 0, func(b *testing.B) {
-		m := models.LeNet3C1L(models.Options{
-			Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
-			Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
-		})
-		r := tensor.NewRNG(9)
-		for _, mv := range m.Movable {
-			a := mv.OutAssignment()
-			for u := 1; u < a.Units(); u++ {
-				a.SetID(u, 1+r.Intn(4))
-			}
-		}
+		m := newServeModel()
 		srv, err := serve.New(serve.Config{
 			Model: m, Subnets: 4, Workers: 1, CacheEntries: 16,
 			DefaultDeadline: time.Second, CalibrationReps: 1,
@@ -254,17 +314,7 @@ func writeBenchBaseline(path string) error {
 	// speculative machinery (ring feed, idle-pop gating) adds nothing
 	// to the hit path versus serve_b1_cached_resume.
 	record(results, "serve_b1_speculated_hit", 0, func(b *testing.B) {
-		m := models.LeNet3C1L(models.Options{
-			Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
-			Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
-		})
-		r := tensor.NewRNG(9)
-		for _, mv := range m.Movable {
-			a := mv.OutAssignment()
-			for u := 1; u < a.Units(); u++ {
-				a.SetID(u, 1+r.Intn(4))
-			}
-		}
+		m := newServeModel()
 		srv, err := serve.New(serve.Config{
 			Model: m, Subnets: 4, Workers: 1, CacheEntries: 16,
 			Speculate:       true,
@@ -304,6 +354,47 @@ func writeBenchBaseline(path string) error {
 				b.Fatalf("repeat after speculation: hit=%v subnet=%d, want a top-rung hit", res.CacheHit, res.Subnet)
 			}
 		}
+	})
+
+	// The request codec alone on a body of the served geometry: the
+	// share of every wire-path answer that is reading 768 floats out of
+	// JSON. Decoding into a slice with room must not allocate.
+	record(results, "wire_decode_768", 0, func(b *testing.B) {
+		body := newInferBody(b)
+		req := cluster.InferRequest{Input: make([]float64, 0, 3*16*16)}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := req.UnmarshalJSON(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// What a client pays for serve_b1_cached_resume's answer over
+	// loopback HTTP: the production handler (bounded read, codec,
+	// pooled buffers, answer encoding) around a cache hit. The delta
+	// over serve_b1_cached_resume is the envelope.
+	record(results, "http_b1_cached", 0, func(b *testing.B) {
+		postCached(b, newCachedReplica(b).URL)
+	})
+
+	// The same answer through a router: the production handler over
+	// Router.Submit with a real Remote to the replica above. The delta
+	// over http_b1_cached is the hop — a second read and decode, and
+	// the input text forwarded rather than re-encoded.
+	record(results, "route_b1_cached", 0, func(b *testing.B) {
+		ro, err := cluster.NewRouter(cluster.RouterConfig{
+			Backends:        []cluster.Backend{cluster.NewRemote(newCachedReplica(b).URL)},
+			DefaultDeadline: time.Second,
+			ProbeInterval:   -1, // the stand-in replica mounts /infer only
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ro.Close()
+		router := httptest.NewServer(&cluster.InferHandler{Submit: ro.Submit})
+		defer router.Close()
+		postCached(b, router.URL)
 	})
 
 	out := benchBaseline{

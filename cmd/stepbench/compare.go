@@ -6,16 +6,38 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // compareNoiseThreshold is the ns/op movement treated as shared-box
 // noise, per the ROADMAP Performance contract (±15%).
 const compareNoiseThreshold = 0.15
 
+// loopbackNoiseThreshold is the band for the entries that cross the
+// loopback (http_*, route_*). Their wall clock is mostly system calls
+// and goroutine wake-ups, which on a virtualised box move with the
+// host, not with the code: the same binary measured http_b1_cached
+// between 164 and 213 µs within the hour on the 2-vCPU reference box,
+// and twice that in its worst minutes, while the in-process entries
+// stayed within 10 %. The band still fails what these entries exist to
+// catch — reflection-based decoding back on the request path doubles
+// http_b1_cached — and the paired end-to-end runs in benchmark/ are
+// the fine instrument.
+const loopbackNoiseThreshold = 0.5
+
+// noiseThreshold returns the ns/op band benchmark name is gated with.
+func noiseThreshold(name string) float64 {
+	if strings.HasPrefix(name, "http_") || strings.HasPrefix(name, "route_") {
+		return loopbackNoiseThreshold
+	}
+	return compareNoiseThreshold
+}
+
 // compareBaselines diffs two benchmark baseline JSON files (old vs
 // new) and enforces the regression gate ci.sh relies on:
 //
-//   - ns/op movement within ±15% is reported as noise;
+//   - ns/op movement within ±15% (±50% for the loopback entries, see
+//     loopbackNoiseThreshold) is reported as noise;
 //   - ns/op regressions beyond the threshold fail — unless the two
 //     baselines were produced by different GEMM backends (a scalar-only
 //     machine comparing against a committed avx2 baseline, or an old
@@ -108,14 +130,15 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 			delta = float64(n.NsPerOp-o.NsPerOp) / float64(o.NsPerOp)
 		}
 		verdict := "ok (noise)"
+		noise := noiseThreshold(name)
 		switch {
-		case delta < -compareNoiseThreshold:
+		case delta < -noise:
 			verdict = "faster"
-		case delta > compareNoiseThreshold && sameBackend:
+		case delta > noise && sameBackend:
 			verdict = "SLOWER beyond noise"
 			failures = append(failures, fmt.Sprintf("%s: ns/op regressed %+.0f%% (%d -> %d)",
 				name, delta*100, o.NsPerOp, n.NsPerOp))
-		case delta > compareNoiseThreshold:
+		case delta > noise:
 			verdict = fmt.Sprintf("slower (backend %s, not gated)", backendPair)
 		}
 		if o.AllocsPerOp == 0 && n.AllocsPerOp > 0 {

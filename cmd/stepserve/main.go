@@ -17,7 +17,10 @@
 // 1} (priority also via the X-Priority header; higher classes shed
 // last and keep wider answers under overload — see -priorities). A
 // missing input is replaced by a seeded random image (handy for smoke
-// tests). The answer reports which subnet produced it, the MACs
+// tests). Nothing but whitespace may follow the object (400), and a
+// body over the model-scaled cap is a 413; both modes mount the one
+// handler in internal/cluster, so the contract is the router's too.
+// The answer reports which subnet produced it, the MACs
 // spent, and whether the deadline was met. GET /stats returns the
 // serve.Snapshot counters including the per-priority breakdown. GET
 // /healthz reports real readiness: 503 while the model is still
@@ -101,7 +104,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -485,10 +487,9 @@ func buildServeModel(name string, classes, imgHW int, expansion float64, n int, 
 	return m, nil
 }
 
-// priorityHeader is the request header carrying the priority class
-// when the JSON body doesn't (proxies and gateways set headers more
-// easily than they rewrite bodies).
-const priorityHeader = "X-Priority"
+// priorityHeader is cluster.PriorityHeader under the name this
+// package's fuzz harness has always used.
+const priorityHeader = cluster.PriorityHeader
 
 // Readiness states of a serving process. /healthz answers 200 only
 // in appReady — a starting process (model still building,
@@ -514,6 +515,13 @@ type app struct {
 	// is not concurrency-safe; serialize the smoke-test input draws.
 	rngMu sync.Mutex
 	rng   *tensor.RNG
+}
+
+// randomInput draws the seeded image a request without an input gets.
+func (a *app) randomInput(n int) []float64 {
+	a.rngMu.Lock()
+	defer a.rngMu.Unlock()
+	return randomInput(a.rng, n)
 }
 
 func newApp(seed uint64) *app {
@@ -622,68 +630,12 @@ func newMux(a *app) *http.ServeMux {
 			http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
 		}
 	})
-	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		if msg := a.notReady(); msg != "" {
-			http.Error(w, msg, http.StatusServiceUnavailable)
-			return
-		}
-		srv, m := a.srv.Load(), a.m.Load()
-		imgLen := m.InC * m.InH * m.InW
-		// Bound the POST /infer payload — unbounded bodies are a
-		// trivial memory DoS. The cap scales with the served model's
-		// input geometry (a float64 is ≤25 JSON characters plus
-		// separator), so a full valid input always fits whatever
-		// -img/-model selects; the floor keeps room for metadata on
-		// tiny models.
-		maxBody := int64(imgLen)*32 + 4096
-		if maxBody < 1<<20 {
-			maxBody = 1 << 20
-		}
-		var req cluster.InferRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if h := r.Header.Get(priorityHeader); h != "" && req.Priority == 0 {
-			p, err := strconv.Atoi(h)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad %s header %q", priorityHeader, h), http.StatusBadRequest)
-				return
-			}
-			req.Priority = p
-		}
-		if req.Input == nil {
-			a.rngMu.Lock()
-			req.Input = randomInput(a.rng, imgLen) // smoke-test convenience
-			a.rngMu.Unlock()
-		}
-		// NaN/±Inf deadlines convert to garbage durations; reject them
-		// at the door rather than trusting float→int conversion.
-		if math.IsNaN(req.DeadlineMs) || math.IsInf(req.DeadlineMs, 0) {
-			http.Error(w, "deadline_ms must be finite", http.StatusBadRequest)
-			return
-		}
-		res, err := srv.Submit(serve.Request{
-			Input:    req.Input,
-			Deadline: time.Duration(req.DeadlineMs * float64(time.Millisecond)),
-			Priority: req.Priority,
-		})
-		switch {
-		case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(cluster.WireResponse(res)); err != nil {
-			log.Printf("infer encode: %v", err)
-		}
+	mux.Handle("/infer", &cluster.InferHandler{
+		NotReady: a.notReady,
+		Submit:   func(req serve.Request) (serve.Result, error) { return a.srv.Load().Submit(req) },
+		InputLen: func() int { m := a.m.Load(); return m.InC * m.InH * m.InW },
+		Fallback: a.randomInput, // smoke-test convenience
+		Recycle:  true,
 	})
 	return mux
 }
@@ -801,6 +753,44 @@ func loadWarmFile(path string) [][]float64 {
 	return inputs
 }
 
+// newRouterMux builds the router's HTTP surface: the same POST /infer
+// handler a replica mounts, over Router.Submit, plus the router's own
+// /stats and /healthz. Factored out of serveRouter for the same reason
+// as newMux: tests drive the production handler chain through
+// httptest.
+func newRouterMux(ro *cluster.Router, draining *atomic.Bool) *http.ServeMux {
+	notReady := func() string {
+		if draining.Load() {
+			return "draining"
+		}
+		return ""
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		if msg := notReady(); msg != "" {
+			http.Error(w, msg, http.StatusServiceUnavailable)
+			return
+		}
+		st := ro.Stats()
+		if st.Available > 0 {
+			fmt.Fprintf(w, "ok (%d/%d replicas)\n", st.Available, len(st.Replicas))
+			return
+		}
+		http.Error(w, "no replica available", http.StatusServiceUnavailable)
+	})
+	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := json.NewEncoder(w).Encode(ro.Stats()); err != nil {
+			log.Printf("stats encode: %v", err)
+		}
+	})
+	// No input length, no fallback: the router has no model, and an
+	// absent input passes through for the chosen replica to synthesize
+	// its seeded smoke-test image.
+	mux.Handle("/infer", &cluster.InferHandler{NotReady: notReady, Submit: ro.Submit})
+	return mux
+}
+
 // serveRouter runs the fault-tolerant router mode: the same /infer
 // contract, served by spreading requests over the replica URLs with
 // health probing, circuit breaking and deadline-aware retry/hedging
@@ -823,78 +813,7 @@ func serveRouter(targets []string, addr string, defaultDeadline time.Duration, h
 	}
 
 	var draining atomic.Bool
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		if n := ro.Available(); n > 0 {
-			fmt.Fprintf(w, "ok (%d/%d replicas)\n", n, len(targets))
-			return
-		}
-		http.Error(w, "no replica available", http.StatusServiceUnavailable)
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(ro.Stats()); err != nil {
-			log.Printf("stats encode: %v", err)
-		}
-	})
-	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		if draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		var req cluster.InferRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if h := r.Header.Get(priorityHeader); h != "" && req.Priority == 0 {
-			p, err := strconv.Atoi(h)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad %s header %q", priorityHeader, h), http.StatusBadRequest)
-				return
-			}
-			req.Priority = p
-		}
-		if math.IsNaN(req.DeadlineMs) || math.IsInf(req.DeadlineMs, 0) {
-			http.Error(w, "deadline_ms must be finite", http.StatusBadRequest)
-			return
-		}
-		// Input passes through untouched (nil lets the chosen replica
-		// synthesize its seeded smoke-test image).
-		res, err := ro.Submit(serve.Request{
-			Input:    req.Input,
-			Deadline: time.Duration(req.DeadlineMs * float64(time.Millisecond)),
-			Priority: req.Priority,
-		})
-		switch {
-		case err == nil:
-		case errors.Is(err, serve.ErrBadInput):
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		case errors.Is(err, serve.ErrOverloaded), errors.Is(err, cluster.ErrNoReplicas),
-			errors.Is(err, serve.ErrClosed):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case errors.Is(err, cluster.ErrTransport):
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(cluster.WireResponse(res)); err != nil {
-			log.Printf("infer encode: %v", err)
-		}
-	})
+	mux := newRouterMux(ro, &draining)
 
 	hs := newHTTPServer(addr, mux, hdrTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

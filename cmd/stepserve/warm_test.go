@@ -73,7 +73,13 @@ func TestCacheEntryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Submit returns when the answer is delivered; the worker publishes
+	// the walk to the cache just after, so give the entry a moment.
 	code, body := get("/cache/entry?key=" + cluster.FormatKey(key))
+	for deadline := time.Now().Add(5 * time.Second); code == http.StatusNotFound && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		code, body = get("/cache/entry?key=" + cluster.FormatKey(key))
+	}
 	if code != http.StatusOK {
 		t.Fatalf("warm key: got %d (%s), want 200", code, body)
 	}

@@ -1,0 +1,148 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log"
+	"net/http"
+	"strconv"
+	"sync"
+	"time"
+
+	"steppingnet/internal/serve"
+)
+
+// PriorityHeader is the request header carrying the priority class
+// when the JSON body doesn't (proxies and gateways set headers more
+// easily than they rewrite bodies).
+const PriorityHeader = "X-Priority"
+
+// InferHandler is the one POST /infer handler: a replica mounts it
+// over its serve.Server, a router over its Router. Everything the two
+// share — the method and readiness gates, the bounded body read, the
+// request codec, the X-Priority header, the error → status map, the
+// answer encoding — lives here and nowhere else.
+type InferHandler struct {
+	// NotReady returns why the process takes no work right now
+	// (starting, draining), or "" when it does. A reason is a 503. Nil
+	// is always ready.
+	NotReady func() string
+	// Submit answers one decoded request.
+	Submit func(serve.Request) (serve.Result, error)
+	// InputLen returns the served model's input length, which scales
+	// the body cap (a float64 is at most 25 JSON characters plus its
+	// separator) and sizes the Fallback input. Nil when the process
+	// has no model to scale from, as a router: the cap is then a flat
+	// 8 MiB. Called only once NotReady has returned "".
+	InputLen func() int
+	// Fallback supplies the input of a request that carries none
+	// (smoke tests). Nil passes the absent input on to Submit.
+	Fallback func(n int) []float64
+	// Recycle declares that Submit is done with the request's slices
+	// when it returns, so the body and input buffers go back to a pool.
+	// serve.Server.Submit keeps that promise (a worker reads the input
+	// only before it answers). Router.Submit cannot: an abandoned hedge
+	// or retry may still be sending the bytes after the winner's answer
+	// has come back, so a router leaves its buffers to the GC.
+	Recycle bool
+}
+
+// inferBufs are one request's read buffers: the raw body and the
+// decoded input. Whoever Gets them owns them until Put.
+type inferBufs struct {
+	body  bytes.Buffer
+	input []float64
+}
+
+var inferPool = sync.Pool{New: func() any { return new(inferBufs) }}
+
+// ServeHTTP implements http.Handler.
+func (h *InferHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	if h.NotReady != nil {
+		if msg := h.NotReady(); msg != "" {
+			http.Error(w, msg, http.StatusServiceUnavailable)
+			return
+		}
+	}
+	// Unbounded bodies are a trivial memory DoS.
+	n, limit := 0, int64(8<<20)
+	if h.InputLen != nil {
+		n = h.InputLen()
+		limit = max(int64(n)*32+4096, 1<<20) // the floor keeps room for metadata on tiny models
+	}
+	bufs := new(inferBufs)
+	if h.Recycle {
+		bufs = inferPool.Get().(*inferBufs)
+		defer inferPool.Put(bufs)
+	}
+	// One buffer of the declared length (plus the spare ReadFrom wants
+	// before it can see EOF) instead of a doubling series; a length
+	// declared over the limit is refused before a byte of it is read.
+	err := error(&http.MaxBytesError{Limit: limit})
+	if r.ContentLength <= limit {
+		bufs.body.Reset()
+		bufs.body.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead)
+		_, err = bufs.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	var req InferRequest
+	text, err := req.decode(bufs.body.Bytes(), bufs.input[:0])
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if cap(req.Input) > cap(bufs.input) {
+		bufs.input = req.Input
+	}
+	if hdr := r.Header.Get(PriorityHeader); hdr != "" && req.Priority == 0 {
+		if req.Priority, err = strconv.Atoi(hdr); err != nil {
+			http.Error(w, fmt.Sprintf("bad %s header %q", PriorityHeader, hdr), http.StatusBadRequest)
+			return
+		}
+	}
+	if req.Input == nil && h.Fallback != nil {
+		req.Input = h.Fallback(n)
+	}
+	res, err := h.Submit(serve.Request{
+		Input:     req.Input,
+		InputJSON: text,
+		Deadline:  time.Duration(req.DeadlineMs * float64(time.Millisecond)),
+		Priority:  req.Priority,
+	})
+	if err != nil {
+		http.Error(w, err.Error(), inferStatus(err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(WireResponse(res)); err != nil {
+		log.Printf("infer encode: %v", err)
+	}
+}
+
+// inferStatus maps a Submit error to its documented HTTP status; the
+// inverse of the mapping in Remote.Submit.
+func inferStatus(err error) int {
+	switch {
+	case errors.Is(err, serve.ErrBadInput):
+		return http.StatusBadRequest
+	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed), errors.Is(err, ErrNoReplicas):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrTransport):
+		return http.StatusBadGateway
+	}
+	return http.StatusInternalServerError
+}

@@ -1,0 +1,393 @@
+package cluster_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"steppingnet/internal/cluster"
+	"steppingnet/internal/cluster/faultinject"
+	"steppingnet/internal/infer"
+	"steppingnet/internal/models"
+	"steppingnet/internal/serve"
+	"steppingnet/internal/tensor"
+)
+
+// inferBody is the /infer request as encoding/json reads it with no
+// help from the codec: the tests' independent view of what was sent.
+type inferBody struct {
+	Input      []float64 `json:"input"`
+	DeadlineMs float64   `json:"deadline_ms"`
+	Priority   int       `json:"priority"`
+}
+
+// encodeInfer writes a request body the way a client with a JSON
+// library would.
+func encodeInfer(t testing.TB, input []float64, deadlineMs float64) []byte {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{"input": input, "deadline_ms": deadlineMs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// ladderLogits walks input up the model's ladder on a private engine
+// and returns each rung's logits: the reference every served answer
+// for that input must equal bitwise, however it was produced.
+func ladderLogits(t testing.TB, m *models.Model, input []float64, rungs int) [][]float64 {
+	t.Helper()
+	e := infer.NewEngine(m.Net)
+	defer e.Close()
+	x := tensor.New(1, m.InC, m.InH, m.InW)
+	copy(x.Data(), input)
+	e.Reset(x)
+	out := make([][]float64, rungs+1)
+	for s := 1; s <= rungs; s++ {
+		o, _, err := e.Step(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[s] = append([]float64(nil), o.Data()...)
+	}
+	return out
+}
+
+var errRefused = errors.New("503")
+
+func postInfer(client *http.Client, url string, body []byte) (cluster.InferResponse, error) {
+	var ans cluster.InferResponse
+	resp, err := client.Post(url+"/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return ans, err
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return ans, err
+	}
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		return ans, errRefused
+	}
+	if resp.StatusCode != http.StatusOK {
+		return ans, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(blob))
+	}
+	return ans, json.Unmarshal(blob, &ans)
+}
+
+// TestInferHandlerBufferReuse is the test that fails if a pooled body
+// or input slice goes back to the pool while the serving layer can
+// still read it: a replica-mode handler (buffers recycled) over a
+// server with the cache and idle-window speculation armed, driven from
+// several connections at once, every one with inputs of its own, mixing
+// unmeetable deadlines (a rung-1 answer that leaves a resumable entry
+// and a speculation candidate behind) with generous ones (resumes and
+// hits). Every answer must be, bitwise, the reference walk of the
+// input that asked for it. Run with -race -count=10.
+func TestInferHandlerBufferReuse(t *testing.T) {
+	m := buildModel(901)
+	imgLen := m.InC * m.InH * m.InW
+	srv, err := serve.New(serve.Config{
+		Model: m, Subnets: 3, Workers: 2, QueueDepth: 64, MaxBatch: 4, PriorityClasses: 2,
+		Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
+		CacheEntries: 64, Speculate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(&cluster.InferHandler{
+		Submit:   srv.Submit,
+		InputLen: func() int { return imgLen }, Recycle: true,
+	})
+	defer ts.Close()
+
+	const clients, perClient, rounds = 6, 5, 6
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
+			for k := 0; k < perClient; k++ {
+				in := inputVec(uint64(1000+c*perClient+k), imgLen)
+				want := ladderLogits(t, m, in, 3)
+				for round := 0; round < rounds; round++ {
+					deadline := 1e-6 // unmeetable: answered at the rung-1 floor
+					if round%2 == 1 {
+						deadline = 3.6e6
+					}
+					ans, err := postInfer(client, ts.URL, encodeInfer(t, in, deadline))
+					if errors.Is(err, errRefused) {
+						continue // an unmeetable deadline behind a backlog is fast-failed
+					}
+					if err != nil {
+						t.Errorf("client %d input %d round %d: %v", c, k, round, err)
+						return
+					}
+					if ans.Subnet < 1 || ans.Subnet > 3 || len(ans.Logits) != len(want[1]) {
+						t.Errorf("client %d input %d round %d: malformed answer %+v", c, k, round, ans)
+						return
+					}
+					for i, v := range ans.Logits {
+						if math.Float64bits(v) != math.Float64bits(want[ans.Subnet][i]) {
+							t.Errorf("client %d input %d round %d: rung %d logit[%d] = %v, reference walk of this input says %v (hit=%v resumed=%v)",
+								c, k, round, ans.Subnet, i, v, want[ans.Subnet][i], ans.CacheHit, ans.Resumed)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// witness is a Backend that checks, at the moment the wrapped replica
+// would start reading them, that a request's input and its carried
+// JSON text still are what the client sent. Inputs carry their index
+// into want in element 0.
+type witness struct {
+	cluster.Backend
+	t    *testing.T
+	want [][]float64
+}
+
+func (w *witness) Submit(ctx context.Context, req serve.Request) (serve.Result, error) {
+	id := -1
+	if len(req.Input) > 0 && req.Input[0] >= 0 && req.Input[0] < float64(len(w.want)) {
+		id = int(req.Input[0])
+	}
+	var fromText []float64
+	if err := json.Unmarshal(req.InputJSON, &fromText); err != nil {
+		w.t.Errorf("%s: carried input text %.40q does not parse: %v", w.Target(), req.InputJSON, err)
+	}
+	if id < 0 || !sameBits(req.Input, w.want[id]) || !sameBits(fromText, w.want[id]) {
+		w.t.Errorf("%s: request %d arrived with input %.3v… / text %.60q, not what its client sent",
+			w.Target(), id, req.Input[:min(len(req.Input), 4)], req.InputJSON)
+	}
+	return w.Backend.Submit(ctx, req)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRouterHedgeKeepsRequestBytes is the router half of the
+// buffer-reuse contract. With hedging on and one of two replicas slow,
+// the hedge's answer returns Router.Submit — and the handler — while
+// the slow leg is still on its way to its replica; the witness reads
+// that leg's bytes only when it finally gets there. They must still be
+// the request's own, which is why a router-mode handler does not
+// recycle its buffers. Run with -race -count=10.
+func TestRouterHedgeKeepsRequestBytes(t *testing.T) {
+	m := buildModel(902)
+	imgLen := m.InC * m.InH * m.InW
+	const clients, perClient = 4, 12
+	want := make([][]float64, clients*perClient)
+	for i := range want {
+		want[i] = inputVec(uint64(2000+i), imgLen)
+		want[i][0] = float64(i)
+	}
+	var slow *faultinject.Injector
+	var backends []cluster.Backend
+	for _, name := range []string{"slow", "fast"} {
+		srv, err := serve.New(serve.Config{
+			Model: m, Subnets: 3, Workers: 2, QueueDepth: 64, PriorityClasses: 2,
+			Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &witness{Backend: &cluster.Local{Srv: srv, Name: name}, t: t, want: want}
+		in := faultinject.Wrap(w)
+		if name == "slow" {
+			slow = in
+		}
+		backends = append(backends, in)
+	}
+	ro, err := cluster.NewRouter(cluster.RouterConfig{
+		Backends: backends, ProbeInterval: -1, DefaultDeadline: 5 * time.Second,
+		Hedge: true, HedgeMinSamples: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	ts := httptest.NewServer(&cluster.InferHandler{Submit: ro.Submit})
+	defer ts.Close()
+
+	run := func(from, to int) {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				client := &http.Client{Transport: &http.Transport{}}
+				defer client.CloseIdleConnections()
+				for k := from; k < to; k++ {
+					id := c*perClient + k
+					ans, err := postInfer(client, ts.URL, encodeInfer(t, want[id], 0))
+					if err != nil {
+						t.Errorf("request %d: %v", id, err)
+						return
+					}
+					if ref := ladderLogits(t, m, want[id], 3); !sameBits(ans.Logits, ref[ans.Subnet]) {
+						t.Errorf("request %d: rung %d logits are not the reference walk of its input", id, ans.Subnet)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// Enough quick answers for the class's p99 to arm the hedge, then
+	// the slow replica starts sitting on every request it is handed.
+	run(0, 4)
+	slow.Inject(faultinject.Fault{Kind: faultinject.Slow, Delay: 200 * time.Millisecond})
+	run(4, perClient)
+	if ro.Stats().Hedges == 0 {
+		t.Fatal("no hedge fired: the slow legs this test is about never outlived their request")
+	}
+	// Let every abandoned leg reach its witness before the servers close.
+	deadline := time.Now().Add(5 * time.Second)
+	for st := ro.Stats(); st.Replicas[0].InFlight+st.Replicas[1].InFlight > 0; st = ro.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned hedge legs never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHopForwardsInputText pins what crosses the hop: the body Remote
+// sends for a routed request is valid JSON whose input is the client's
+// array text verbatim (so bitwise its numbers), with deadline_ms and
+// priority as the router resolved them — its default deadline for a
+// request that named none, the X-Priority header when the body had no
+// priority. A Remote.Submit with no carried text formats the floats
+// itself, to a body encoding/json decodes to the same request as ever.
+func TestHopForwardsInputText(t *testing.T) {
+	var mu sync.Mutex
+	var sent []byte
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		blob, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		sent = blob
+		mu.Unlock()
+		json.NewEncoder(w).Encode(cluster.WireResponse(serve.Result{Subnet: 1, Logits: []float64{1}})) //nolint:errcheck — test fixture
+	}))
+	defer replica.Close()
+	rem := cluster.NewRemote(replica.URL)
+	ro, err := cluster.NewRouter(cluster.RouterConfig{
+		Backends: []cluster.Backend{rem}, ProbeInterval: -1, DefaultDeadline: 70 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	router := httptest.NewServer(&cluster.InferHandler{Submit: ro.Submit})
+	defer router.Close()
+
+	in := append(inputVec(77, 24), 0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, 1e21, 1e-7, 0.30000000000000004)
+	text := new(bytes.Buffer)
+	for i, v := range in {
+		sep := ", "
+		if i%2 == 0 {
+			sep = ","
+		}
+		if i == 0 {
+			sep = "[ "
+		}
+		text.WriteString(sep)
+		// Not the shortest form on purpose: the text must cross as
+		// written, not as the router would have written it.
+		text.WriteString(strconv.FormatFloat(v, 'e', 20, 64))
+	}
+	text.WriteString(" ]")
+	arr := text.String()
+
+	cases := []struct {
+		name, body, header string
+		deadlineMs         float64
+		priority           int
+	}{
+		{"input first", `{"input":` + arr + `,"deadline_ms":12.5,"priority":1}`, "", 12.5, 1},
+		{"input last", `{"priority":1,"deadline_ms":12.5,"input":` + arr + `}`, "", 12.5, 1},
+		{"input in the middle, unknown keys around", `{"a":[1,{"input":[9]}],"deadline_ms":3,"input":` + arr + `,"z":"input"}`, "", 3, 0},
+		{"no deadline takes the router's default", `{"input":` + arr + `}`, "", 70, 0},
+		{"zero deadline takes the router's default", `{"input":` + arr + `,"deadline_ms":0}`, "", 70, 0},
+		{"header priority travels in the body", `{"input":` + arr + `,"deadline_ms":4}`, "2", 4, 2},
+		{"body priority beats the header", `{"input":` + arr + `,"priority":1}`, "2", 70, 1},
+		{"last duplicate wins", `{"input":[1,2,3],"input":` + arr + `}`, "", 70, 0},
+		{"folded key", `{"INPUT":` + arr + `,"Deadline_MS":9}`, "", 9, 0},
+	}
+	check := func(name string, wantDeadline float64, wantPriority int) inferBody {
+		t.Helper()
+		mu.Lock()
+		blob := sent
+		mu.Unlock()
+		if !json.Valid(blob) {
+			t.Fatalf("%s: Remote sent invalid JSON: %.200q", name, blob)
+		}
+		var got inferBody
+		if err := json.Unmarshal(blob, &got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameBits(got.Input, in) {
+			t.Fatalf("%s: forwarded input differs from the client's: %.200q", name, blob)
+		}
+		if got.DeadlineMs != wantDeadline || got.Priority != wantPriority {
+			t.Fatalf("%s: forwarded deadline_ms %v priority %d, want %v and %d", name, got.DeadlineMs, got.Priority, wantDeadline, wantPriority)
+		}
+		return got
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest(http.MethodPost, router.URL+"/infer", bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.header != "" {
+			req.Header.Set(cluster.PriorityHeader, tc.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck — drained for connection reuse
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, resp.StatusCode)
+		}
+		check(tc.name, tc.deadlineMs, tc.priority)
+		mu.Lock()
+		verbatim := bytes.Contains(sent, []byte(arr))
+		mu.Unlock()
+		if !verbatim {
+			t.Fatalf("%s: the input text was re-encoded on its way across the hop", tc.name)
+		}
+	}
+
+	// No text to forward: loadgen, tests, the benchmark's Remote probe.
+	if _, err := rem.Submit(context.Background(), serve.Request{Input: in, Deadline: 1500 * time.Microsecond, Priority: 3}); err != nil {
+		t.Fatal(err)
+	}
+	check("no carried text", 1.5, 3)
+}

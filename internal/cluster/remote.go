@@ -47,15 +47,23 @@ func NewRemote(target string) *Remote {
 	}
 }
 
-// Submit implements Backend: POST /infer with the wire payload,
-// mapping the replica's documented statuses back to the typed errors
-// the in-process server returns — 503 to serve.ErrOverloaded (or
-// serve.ErrClosed when the replica says it is draining), 400 to
-// serve.ErrBadInput, anything transport-shaped to ErrTransport.
+// Submit implements Backend: POST /infer with the wire payload (the
+// input forwarded as the text it arrived in when req carries it —
+// see appendInferRequest), mapping the replica's documented statuses
+// back to the typed errors the in-process server returns — 503 to
+// serve.ErrOverloaded (or serve.ErrClosed when the replica says it is
+// draining), 400 to serve.ErrBadInput, anything transport-shaped to
+// ErrTransport. Each call builds its own body, never touched again
+// once handed to the transport, so concurrent retries and hedges of
+// one request share nothing but the read-only req.
 func (r *Remote) Submit(ctx context.Context, req serve.Request) (serve.Result, error) {
-	body, err := json.Marshal(WireRequest(req))
+	size := len(req.InputJSON)
+	if req.InputJSON == nil {
+		size = len(req.Input) * 25 // the longest shortest-round-trip float64, and its comma
+	}
+	body, err := appendInferRequest(make([]byte, 0, size+64), req)
 	if err != nil {
-		return serve.Result{}, fmt.Errorf("%w: marshal: %v", serve.ErrBadInput, err)
+		return serve.Result{}, fmt.Errorf("%w: %v", serve.ErrBadInput, err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.target+"/infer", bytes.NewReader(body))
 	if err != nil {

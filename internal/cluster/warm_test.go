@@ -204,6 +204,16 @@ func TestWarmingTransfersEntryEndToEnd(t *testing.T) {
 		t.Fatalf("cold walk did not land on the key's HRW winner (winner served %d)", got)
 	}
 
+	// Submit returns when the answer is delivered; the worker publishes
+	// the walk to its cache just after. Wait for the entry, not for luck.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := servers[winner].CachePeek(key); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the winner never published the cold walk to its cache")
+		}
+	}
 	ro.noteSpill(uint64(key), ro.replicas[winner], ro.replicas[target])
 	if got := ro.warmOnce(); got != 1 {
 		t.Fatalf("warmOnce installed %d entries, want 1", got)

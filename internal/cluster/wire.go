@@ -11,9 +11,9 @@ import (
 
 // InferRequest is the POST /infer wire payload — the JSON contract
 // between stepserve replicas, the router's remote client, and any
-// external caller. It lives here (not in cmd/stepserve) so the
-// command's HTTP handler and the Remote backend marshal the exact
-// same shape and cannot drift apart.
+// external caller. It lives here (not in cmd/stepserve) with its one
+// reader and one writer (codec.go), so the HTTP handler and the Remote
+// backend speak the exact same shape and cannot drift apart.
 type InferRequest struct {
 	// Input is the flattened image; a replica substitutes a seeded
 	// random input when it is absent (smoke tests, load generators).
@@ -54,15 +54,6 @@ type InferResponse struct {
 	// EarlyExit reports the confidence early exit answered below the
 	// affordable ladder cap.
 	EarlyExit bool `json:"early_exit,omitempty"`
-}
-
-// WireRequest converts a serve.Request into its wire form.
-func WireRequest(req serve.Request) InferRequest {
-	return InferRequest{
-		Input:      req.Input,
-		DeadlineMs: float64(req.Deadline) / float64(time.Millisecond),
-		Priority:   req.Priority,
-	}
 }
 
 // WireResponse converts a serve.Result into its wire form.

@@ -3,6 +3,7 @@ package infer
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"steppingnet/internal/models"
 	"steppingnet/internal/nn"
@@ -162,7 +163,13 @@ func TestLayerShardWorkersReleased(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cycle()
 	}
-	if after := runtime.NumGoroutine(); after > before {
+	// Exited workers leave the count a moment after Close returns (and,
+	// shuffled, an earlier test's may still be leaving): let it settle.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
 		t.Fatalf("shard workers leaked across Close cycles: %d goroutines before, %d after", before, after)
 	}
 }

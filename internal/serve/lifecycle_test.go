@@ -237,7 +237,12 @@ func TestWarmInstallServesTransferredEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := cache.KeyOf(in)
+	// Submit returns when the answer is delivered; the worker publishes
+	// the walk to the cache just after, so wait for the entry.
 	ent, ok := a.CachePeek(k)
+	for deadline := time.Now().Add(5 * time.Second); !ok && time.Now().Before(deadline); ent, ok = a.CachePeek(k) {
+		time.Sleep(time.Millisecond)
+	}
 	if !ok || ent.Subnet != first.Subnet || ent.State == nil {
 		t.Fatalf("CachePeek after a full walk: ok=%v ent=%+v", ok, ent)
 	}

@@ -299,6 +299,11 @@ type Request struct {
 	// Input is the flattened image, length InC*InH*InW of the served
 	// model. The slice must not be mutated until Submit returns.
 	Input []float64
+	// InputJSON is the JSON array text Input was decoded from, when the
+	// request arrived as one. Transports may forward it verbatim
+	// instead of formatting Input again; Server ignores it. Like Input
+	// it must not be mutated until Submit returns.
+	InputJSON []byte
 	// Deadline is the wall-clock budget measured from submission
 	// (queue wait counts against it). 0 selects
 	// Config.DefaultDeadline.
@@ -359,6 +364,13 @@ type response struct {
 
 // pending is a request in flight through the queue and scheduler.
 type pending struct {
+	// input is the caller's slice (Request.Input), not a copy. Workers
+	// read it only before they answer the request — copied into the
+	// batch tensor, hashed, copied by noteSpecCandidate — so once done
+	// delivers, or Submit refuses without queueing, nothing here still
+	// references it and the caller may recycle it (the /infer handler
+	// pools on that). Keep it so: anything that must outlive the answer
+	// takes a copy first.
 	input     []float64
 	class     int
 	submitted time.Time
