@@ -249,9 +249,9 @@ func BenchmarkForwardLeNetB1(b *testing.B) {
 }
 
 // BenchmarkAnytimeWalkB1 is the engine-level twin: a batch-1 ladder
-// walk per worker count, exercising the cooperative layer-sharding
-// mode (engine workers splitting conv rows, dense units and pooling
-// planes inside each step) when cores allow.
+// walk per worker count. A lone image is walked serially whatever
+// Workers and GOMAXPROCS say, so the sub-benchmarks must agree — more
+// workers may never be slower than fewer.
 func BenchmarkAnytimeWalkB1(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

@@ -82,11 +82,13 @@ else
     STEPPINGNET_NOSIMD=1 go test -race -count=1 -shuffle=on ./...
 fi
 
-echo "== intra-layer sharding equivalence (both backends) =="
+echo "== sharding equivalence (both backends) =="
 # The cross-worker-count bitwise gate, run explicitly on both GEMM
-# backends: the sharded paths must produce bit-identical outputs at
-# every worker count regardless of which kernels dispatch selects.
-SHARD_TESTS='TestIntraLayerParallelMatchesSerial|TestRowShardBitwiseInvariance|TestColumnShardBitwiseInvariance|TestParallelIm2ColMatchesSerial|TestBatch1WorkerSetMatchesSerial'
+# backends: the engine's image sharding over the plan grid, the
+# kernels' row and column splits and the serving layer's batching must
+# produce bit-identical outputs at every worker count regardless of
+# which kernels dispatch selects.
+SHARD_TESTS='TestImageShardingMatchesSerial|TestRowShardBitwiseInvariance|TestColumnShardBitwiseInvariance|TestParallelIm2ColMatchesSerial|TestBatch1WorkerSetMatchesSerial'
 go test -count=1 -run "$SHARD_TESTS" ./internal/tensor ./internal/infer ./internal/serve
 STEPPINGNET_NOSIMD=1 go test -count=1 -run "$SHARD_TESTS" ./internal/tensor ./internal/infer ./internal/serve
 
@@ -104,13 +106,14 @@ echo "== fuzz smoke =="
 # Ten seconds per fuzz target on top of the committed seed corpora:
 # enough to shake out regressions in the hardened surfaces (the
 # LatencyModel deadline math, the /infer handler chain, the request
-# codec's agreement with encoding/json and the semantic cache's
-# key/churn/resume paths) without stalling the gate. A real campaign
-# runs them longer by hand.
+# codec's agreement with encoding/json, the semantic cache's
+# key/churn/resume paths and the ladder state arriving over the wire)
+# without stalling the gate. A real campaign runs them longer by hand.
 go test -run='^$' -fuzz=FuzzLatencyModel -fuzztime=10s ./internal/governor
 go test -run='^$' -fuzz=FuzzInferHandler -fuzztime=10s ./cmd/stepserve
 go test -run='^$' -fuzz=FuzzDecodeInferRequest -fuzztime=10s ./internal/cluster
 go test -run='^$' -fuzz=FuzzCacheResume -fuzztime=10s ./internal/serve/cache
+go test -run='^$' -fuzz=FuzzStateWire -fuzztime=10s ./internal/infer
 
 echo "== chaos (default backend) =="
 # The serving layer's randomized lifecycle storm always runs under the

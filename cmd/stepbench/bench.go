@@ -38,6 +38,24 @@ type benchBaseline struct {
 	Results   map[string]benchResult `json:"results"`
 }
 
+// newServeModel is the served model of the serve_* and wire-path
+// entries and of the stage profile: the benchmark LeNet with a seeded
+// random unit spread over its four rungs.
+func newServeModel() *models.Model {
+	m := models.LeNet3C1L(models.Options{
+		Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
+		Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
+	})
+	r := tensor.NewRNG(9)
+	for _, mv := range m.Movable {
+		a := mv.OutAssignment()
+		for u := 1; u < a.Units(); u++ {
+			a.SetID(u, 1+r.Intn(4))
+		}
+	}
+	return m
+}
+
 // writeBenchBaseline runs the substrate benchmarks the repo's perf
 // targets are stated against (the blocked matmul kernel and the
 // zero-allocation forward/step paths) via testing.Benchmark and
@@ -86,22 +104,6 @@ func writeBenchBaseline(path string) error {
 		return m.Net, x
 	}
 
-	// newServeModel is the served model of the serve_* and wire-path
-	// entries: the benchmark LeNet with a seeded random unit spread.
-	newServeModel := func() *models.Model {
-		m := models.LeNet3C1L(models.Options{
-			Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
-			Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
-		})
-		r := tensor.NewRNG(9)
-		for _, mv := range m.Movable {
-			a := mv.OutAssignment()
-			for u := 1; u < a.Units(); u++ {
-				a.SetID(u, 1+r.Intn(4))
-			}
-		}
-		return m
-	}
 	// newInferBody is one POST /infer body of the served geometry: 768
 	// standard-normal floats, ≈15 KB of JSON.
 	newInferBody := func(b *testing.B) []byte {
@@ -194,10 +196,10 @@ func writeBenchBaseline(path string) error {
 			ctx.Scratch.Put(net.Forward(x, ctx))
 		}
 	})
-	// Batch-1 latency: the single-image forward a latency-sensitive
-	// deployment pays per decision. The batch-parallel engine cannot
-	// shard it, so this is the number the ROADMAP's intra-layer
-	// parallelism item targets.
+	// Batch-1 latency: one from-scratch forward of the widest subnet
+	// through the per-layer reference path (nn.Network.Forward). It is
+	// the yardstick the ladder walk below is held to: -compare fails if
+	// climbing all four rungs costs over 10% more than this.
 	record(results, "forward_lenet3c1l_b1", 0, func(b *testing.B) {
 		net, _ := newNet()
 		r := tensor.NewRNG(4)
@@ -223,10 +225,10 @@ func writeBenchBaseline(path string) error {
 		}
 	})
 	// The batch-1 ladder walk — the engine-level twin of
-	// forward_lenet3c1l_b1: a lone request climbing all four rungs.
-	// With spare cores this is the cooperative intra-layer sharding
-	// path; on a single-CPU box it degrades to the serial walk. Either
-	// way it must stay at 0 allocs/op.
+	// forward_lenet3c1l_b1: a lone request climbing all four rungs of
+	// the compiled step plan, serially whatever the core count. Reuse
+	// must pay in time, not only in MACs: see the relational check in
+	// compare.go. It must stay at 0 allocs/op.
 	record(results, "anytime_walk_lenet3c1l_b1", 0, func(b *testing.B) {
 		net, _ := newNet()
 		r := tensor.NewRNG(4)
@@ -268,6 +270,36 @@ func writeBenchBaseline(path string) error {
 			}
 			if res.Subnet != 4 {
 				b.Fatalf("generous deadline answered from subnet %d", res.Subnet)
+			}
+		}
+	})
+
+	// Cold serving latency with the cache armed: every iteration is a
+	// new input, so each answer is a miss — hash, lookup, the 4-step
+	// walk, and the post-walk publish (a top-rung walk stores its logits
+	// alone; exporting a ladder state here was ≈90 KB per answer). The
+	// delta over serve_b1_deadline is what the cache costs a miss.
+	record(results, "serve_b1_cold_cached", 0, func(b *testing.B) {
+		m := newServeModel()
+		srv, err := serve.New(serve.Config{
+			Model: m, Subnets: 4, Workers: 1, CacheEntries: 16,
+			DefaultDeadline: time.Second, CalibrationReps: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		in := tensor.New(3 * 16 * 16)
+		in.FillNormal(tensor.NewRNG(4), 0, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			in.Data()[0] = float64(i) // a fresh cache key
+			res, err := srv.Submit(serve.Request{Input: in.Data()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.CacheHit || res.Subnet != 4 {
+				b.Fatalf("cold submit: hit=%v subnet=%d, want a full cold walk", res.CacheHit, res.Subnet)
 			}
 		}
 	})

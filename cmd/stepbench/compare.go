@@ -25,6 +25,10 @@ const compareNoiseThreshold = 0.15
 // the fine instrument.
 const loopbackNoiseThreshold = 0.5
 
+// walkOverForwardSlack is how far the batch-1 ladder walk may exceed
+// the batch-1 widest forward before -compare fails.
+const walkOverForwardSlack = 0.10
+
 // noiseThreshold returns the ns/op band benchmark name is gated with.
 func noiseThreshold(name string) float64 {
 	if strings.HasPrefix(name, "http_") || strings.HasPrefix(name, "route_") {
@@ -47,7 +51,9 @@ func noiseThreshold(name string) float64 {
 //     baseline fails — allocation creep is deterministic, backend- and
 //     machine-independent, never noise;
 //   - benchmarks missing from the new file fail (a silently dropped
-//     benchmark is how perf contracts rot).
+//     benchmark is how perf contracts rot);
+//   - within the new file, anytime_walk_lenet3c1l_b1 may not exceed
+//     forward_lenet3c1l_b1 by more than 10% (walkOverForwardSlack).
 //
 // New benchmarks absent from the old baseline are reported and, when
 // allocating, never fail, so adding coverage stays cheap. New
@@ -151,6 +157,15 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 			verdict += fmt.Sprintf(" [allocs %d -> %d]", o.AllocsPerOp, n.AllocsPerOp)
 		}
 		fmt.Printf("%-28s %12d %12d %+7.0f%%  %s\n", name, o.NsPerOp, n.NsPerOp, delta*100, verdict)
+	}
+
+	// Reuse must pay in time, not only in MACs: within the new file
+	// (one machine, one backend) the four-rung batch-1 walk may not cost
+	// over 10% more than one from-scratch forward of the widest subnet.
+	walk, fwd := newBase.Results["anytime_walk_lenet3c1l_b1"], newBase.Results["forward_lenet3c1l_b1"]
+	if fwd.NsPerOp > 0 && float64(walk.NsPerOp) > (1+walkOverForwardSlack)*float64(fwd.NsPerOp) {
+		failures = append(failures, fmt.Sprintf("anytime_walk_lenet3c1l_b1 (%d ns/op) exceeds forward_lenet3c1l_b1 (%d ns/op) by more than %.0f%%",
+			walk.NsPerOp, fwd.NsPerOp, walkOverForwardSlack*100))
 	}
 
 	if len(failures) > 0 {

@@ -7,6 +7,7 @@
 //	stepbench -exp all -scale quick
 //	stepbench -exp table1 -scale full
 //	stepbench -exp fig6,reuse -scale tiny
+//	stepbench -exp profile
 //	stepbench -bench BENCH_baseline.json
 //	stepbench -compare BENCH_baseline.json BENCH_new.json
 //	stepbench -compare -strict BENCH_baseline.json BENCH_new.json
@@ -28,7 +29,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stepbench: ")
-	exp := flag.String("exp", "all", "comma-separated experiments: table1,fig6,fig7,fig8,reuse or all")
+	exp := flag.String("exp", "all", "comma-separated experiments: table1,fig6,fig7,fig8,reuse,profile or all")
 	scale := flag.String("scale", "quick", "problem scale: tiny, quick or full")
 	csvDir := flag.String("csv", "", "also write machine-readable CSV files into this directory")
 	benchOut := flag.String("bench", "", "run the substrate perf benchmarks, write the JSON baseline to this file and exit")
@@ -98,6 +99,7 @@ func main() {
 	run("fig7", func() (renderer, error) { return experiments.Fig7(sc) })
 	run("fig8", func() (renderer, error) { return experiments.Fig8(sc) })
 	run("reuse", func() (renderer, error) { return experiments.Reuse(sc) })
+	run("profile", func() (renderer, error) { return runProfile() })
 
 	if ran == 0 {
 		log.Printf("nothing to run for -exp=%q", *exp)

@@ -30,11 +30,27 @@
 // aligned so parallel results stay bitwise identical to serial at
 // any worker count (tiny shapes stay serial; see gemmMinParFlops and
 // gemmMinParColFlops). A single GOMAXPROCS-1 helper budget is shared
-// with the inference engine's intra-layer sharding, so stacked
-// parallelism degrades to serial instead of oversubscribing.
-// Convolution is im2col plus one compact matmul per image over a
-// transposed gather of the subnet's active filters, so a small
-// subnet pays only for its own width.
+// with the inference engine's image sharding, so stacked parallelism
+// degrades to serial instead of oversubscribing. In training and in
+// the per-layer reference path, convolution is im2col plus one
+// compact matmul per image over a transposed gather of the subnet's
+// active filters, so a small subnet pays only for its own width.
+//
+// Inference does not go layer by layer. infer.NewEngine compiles the
+// ladder once into a step plan (internal/infer/plan.go): fused stages
+// (conv+ReLU+max-pool, dense+ReLU, the recomputed head, and a generic
+// stage for any other layer) over engine-owned persistent buffers,
+// with one pre-packed weight panel per stage and rung whose K
+// dimension is ordered so the inputs a rung may read form a prefix.
+// A rung step extends each conv's channel-major patch matrix by the
+// newly activated input channels, multiplies the rung's panel over
+// its K-prefix, and writes bias, ReLU and pooling for the new planes
+// only — so reuse pays in time, not only in MACs: the batch-1
+// four-rung walk costs less than one from-scratch forward of the
+// widest subnet (gated by `stepbench -compare`). A lone image is
+// always walked serially; batches shard by image. Every unit is
+// computed by one fixed chain of float operations, so cold, resumed,
+// batched and sharded walks agree bitwise.
 //
 // The kernels come in two backends behind a dispatch layer
 // (internal/tensor/gemm_dispatch.go). On amd64, AVX2+FMA assembly
@@ -51,10 +67,10 @@
 // Hot paths are allocation-free in the steady state: a tensor.Pool
 // (per goroutine, nil-safe) recycles every activation and temporary.
 // nn.Context.Scratch threads the pool through Forward/Backward — see
-// its comment for the ownership rules — and infer.Engine keeps one
-// pool per batch-parallel worker plus persistent shard workers and
-// reusable per-step bookkeeping, so the anytime walk performs zero
-// allocations per Step on both its serial and sharded paths.
+// its comment for the ownership rules — and infer.Engine owns its
+// stage buffers and persistent shard workers outright, so the anytime
+// walk performs zero allocations per Step on both its serial and
+// sharded paths.
 // BENCH_baseline.json records the substrate's reference numbers
 // (regenerate with ./ci.sh or `go run ./cmd/stepbench -bench`;
 // compare two baselines with `stepbench -compare old.json new.json`).

@@ -5,12 +5,23 @@
 // operations" without recomputing what smaller subnets already
 // produced (§I, §II). Conversely, when resources shrink, switching
 // down to a smaller subnet costs (almost) nothing because the small
-// subnet's activations are a subset of the cached ones.
+// subnet's activations are a subset of the kept ones.
+//
+// The engine does not call the network's layers one by one. NewEngine
+// compiles the ladder into a step plan (plan.go) — fused stages over
+// persistent buffers, one pre-packed weight panel per stage and rung —
+// so that a step from rung s′ to s touches only the units the rungs in
+// between add: reuse pays in wall-clock time, not only in MACs.
+// Engine.Stages and Engine.StageTimer expose the plan for profiling;
+// LadderState (resume.go) is what the plan keeps between rungs, in
+// portable form, and ImportState is the trust boundary it re-enters
+// through.
 package infer
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,34 +30,33 @@ import (
 )
 
 // Engine executes one input batch through a masked network
-// incrementally, caching per-layer activations between subnet
-// switches. Activations and temporaries are drawn from internal
-// buffer pools and every piece of per-step bookkeeping (shard slices,
-// view headers, eval contexts) is hoisted into Engine-owned buffers
-// sized once per (batch, workers) pair, so steady-state stepping
-// allocates nothing at all — serial or sharded (enforced by
-// TestStepSteadyStateAllocs).
+// incrementally, keeping every stage's activations between subnet
+// switches. NewEngine compiles the network into a step plan (plan.go):
+// stages over engine-owned persistent buffers, with the weights of
+// every rung pre-packed, so a step touches only the units its rungs
+// add and steady-state stepping allocates nothing (enforced by
+// TestStepSteadyStateAllocs). The network is read at NewEngine; later
+// changes to its weights, masks or assignments are not seen.
 //
-// The same persistent worker set serves two sharding modes, selected
-// per step: batches of two or more images shard by IMAGE (each worker
-// walks its contiguous row range through the whole layer stack —
-// every layer treats the batch dimension independently, so this
-// preserves the incremental-reuse semantics exactly), while a
-// single-image batch shards by LAYER (workers cooperate inside each
-// layer over its nn.IncrementalSharded span — conv spatial rows,
-// dense units, pooling planes — with a barrier per layer). Layer
-// sharding claims its helpers from the global
-// tensor.ClaimParallelHelpers budget, so engines, kernel fan-outs and
-// the serving layer's worker pool share one GOMAXPROCS-1 allowance
-// instead of oversubscribing the cores; with no spare cores the step
-// degrades to the serial walk. Both modes produce outputs BITWISE
-// identical to the serial walk at every worker count
-// (TestIntraLayerParallelMatchesSerial).
+// A single image is always walked on the calling goroutine. Batches
+// of two or more images are sharded by IMAGE over persistent workers:
+// each walks its contiguous rows through the whole plan, writing
+// straight into the shared stage buffers. Images are computed one at
+// a time by the same code either way, so the sharded walk is BITWISE
+// identical to the serial one at every worker count
+// (TestImageShardingMatchesSerial).
 type Engine struct {
-	net   *nn.Network
-	input *tensor.Tensor
-	cache []*tensor.Tensor // output of each layer at the current subnet
-	cur   int              // current subnet (0 = nothing computed yet)
+	net    *nn.Network
+	stages []stage
+	n      int // ladder depth
+
+	input    *tensor.Tensor
+	resetErr error   // why the last Reset could not bind its input
+	inRow    []int   // per-image input shape the stage buffers are bound to
+	shapes   [][]int // per-image output shape of every stage under inRow
+	rows     int     // batch capacity of the stage buffers
+	cur      int     // current subnet (0 = nothing computed yet)
+	gathered int     // rung the stages' gathers are filled to
 
 	// Audit, when true, cross-checks every Step against a
 	// from-scratch forward pass and panics on divergence — the
@@ -54,8 +64,8 @@ type Engine struct {
 	// tests and demos, not hot paths.
 	Audit bool
 
-	// Workers caps the batch-parallel fan-out; 0 means GOMAXPROCS.
-	// Set 1 to force the serial path.
+	// Workers caps the image-sharding fan-out of batches of two or
+	// more images; 0 means GOMAXPROCS, 1 forces the serial walk.
 	Workers int
 
 	// StepTimer, when non-nil, observes every successful Step with
@@ -69,21 +79,18 @@ type Engine struct {
 	// when nil (the default) Step takes no timestamps at all.
 	StepTimer func(subnet, rows int, d time.Duration)
 
-	pool   *tensor.Pool   // owner-goroutine scratch; backs the cache tensors
-	wpools []*tensor.Pool // per-worker scratch for the sharded path
+	// StageTimer, when non-nil, observes every plan stage of every
+	// Step (index into Stages, subnet stepped to, duration) as walked
+	// by the calling goroutine — the whole batch when serial, its own
+	// shard otherwise. Same rules as StepTimer: synchronous, must not
+	// allocate, and when nil no timestamps are taken.
+	StageTimer func(stage, subnet int, d time.Duration)
 
-	// Reusable per-step state for the sharded path, indexed by worker.
-	// Grown on demand by ensureShardState, never shrunk; the shard
-	// workers themselves are persistent goroutines fed over jobs (a
-	// `go` statement per Step would allocate its closure).
-	shardOuts  [][]*tensor.Tensor // per-layer shard outputs
-	shardMACs  [][]int64          // per-layer shard MAC counts
-	inViews    []*tensor.Tensor   // reusable view headers onto input
-	cacheViews [][]*tensor.Tensor // reusable view headers onto cache
-	ctxs       []*nn.Context      // reusable eval contexts
-	sctx       nn.Context         // serial-path eval context
-	shapeBuf   []int              // scratch for assembling output shapes
-
+	// shards[0] is the calling goroutine's scratch; the others belong
+	// to the persistent shard workers, which are fed jobs over a
+	// channel (a `go` statement per Step would allocate its closure).
+	shards   []*shard
+	zLen     int
 	jobs     chan shardJob
 	wg       sync.WaitGroup // per-step fan-in barrier
 	workerWG sync.WaitGroup // tracks worker goroutine lifetimes for Close
@@ -92,46 +99,90 @@ type Engine struct {
 	totalMACs int64
 }
 
-// shardJob tells a shard worker what to compute. Jobs travel by
-// value, so dispatch is allocation-free. In image mode (layer == -1)
-// the worker walks batch rows [b0,b1) through the whole stack to
-// subnet s. In layer mode it computes span indices [b0,b1) of one
-// layer's IncrementalSharded transition into the shared out tensor.
-type shardJob struct {
-	wi, b0, b1 int
-	sPrev, s   int
-
-	// Layer mode only.
-	layer     int // -1 selects image mode
-	lyr       nn.IncrementalSharded
-	x, cached *tensor.Tensor
-	out       *tensor.Tensor
-}
-
-// NewEngine wraps a network. The network's layers must implement
-// nn.Incremental or be masked RuleShared layers (which are recomputed
-// per step) or parameter-free layers.
+// NewEngine compiles the network into a step plan. Conv2D and Dense
+// layers are stepped natively (fused with a following ReLU and
+// max-pool); every other layer must implement nn.Incremental, be a
+// masked RuleShared layer (recomputed per step) or be parameter-free.
 func NewEngine(net *nn.Network) *Engine {
-	return &Engine{
-		net:   net,
-		cache: make([]*tensor.Tensor, len(net.Layers())),
-		pool:  tensor.NewPool(),
+	e := &Engine{net: net}
+	e.stages, e.n = compile(net)
+	for i := range e.stages {
+		e.zLen = max(e.zLen, e.stages[i].zLen())
 	}
+	e.ensureShards(1)
+	return e
 }
 
-// Reset installs a new input batch and clears all cached activations
-// (recycling their buffers for the next walk).
+// StageInfo describes one stage of the engine's step plan.
+type StageInfo struct {
+	// Name joins the names of the layers the stage fuses.
+	Name string
+	// Kind is "conv", "dense", "head" or "generic".
+	Kind string
+	// StepMACs[s-1] is the exact per-image MAC count the stage
+	// executes in a one-rung step s-1→s.
+	StepMACs []int64
+}
+
+// Stages lists the plan's stages in execution order.
+func (e *Engine) Stages() []StageInfo {
+	infos := make([]StageInfo, len(e.stages))
+	for i := range e.stages {
+		st := &e.stages[i]
+		infos[i] = StageInfo{Name: st.name, Kind: kindNames[st.kind], StepMACs: st.stepMACs[1:]}
+	}
+	return infos
+}
+
+// bind sizes the stage buffers for x's shape and batch. Steady-state
+// calls find everything sized and only repoint the batch views.
+func (e *Engine) bind(x *tensor.Tensor) error {
+	if x == nil || x.Rank() == 0 {
+		return fmt.Errorf("infer: input must have a batch dimension")
+	}
+	batch, row := x.Dim(0), x.Shape()[1:]
+	if e.inRow == nil || !slices.Equal(row, e.inRow) {
+		shapes, err := rowShapes(e.stages, row)
+		if err != nil {
+			return err
+		}
+		e.inRow, e.shapes, e.rows = slices.Clone(row), shapes, 0
+		inLen := x.Len() / max(batch, 1)
+		for i := range e.stages {
+			st := &e.stages[i]
+			st.inLen, st.outLen = inLen, 1
+			for _, d := range shapes[i] {
+				st.outLen *= d
+			}
+			inLen = st.outLen
+		}
+	}
+	for i := range e.stages {
+		st := &e.stages[i]
+		if batch > e.rows {
+			st.full = tensor.New(append([]int{batch}, e.shapes[i]...)...)
+			st.gather = make([]float64, batch*st.gatherLen)
+		}
+		st.out.ViewRows(st.full, 0, batch)
+	}
+	e.rows = max(e.rows, batch)
+	return nil
+}
+
+// Reset installs a new input batch and clears all kept activations.
+// An input the network cannot take is reported by the next Step.
 func (e *Engine) Reset(x *tensor.Tensor) {
-	e.input = x
-	for i := range e.cache {
-		e.pool.Put(e.cache[i])
-		e.cache[i] = nil
+	e.input, e.cur, e.gathered, e.totalMACs = nil, 0, 0, 0
+	if e.resetErr = e.bind(x); e.resetErr != nil {
+		return
 	}
-	e.cur = 0
-	e.totalMACs = 0
+	e.input = x
+	for i := range e.stages {
+		clear(e.stages[i].out.Data())
+	}
 }
 
-// Current returns the subnet the cache currently represents (0
+// Current returns the subnet the engine currently represents (0
 // before the first Step).
 func (e *Engine) Current() int { return e.cur }
 
@@ -152,42 +203,40 @@ func (e *Engine) TotalMACs() int64 { return e.totalMACs }
 // the next Step or Reset.
 func (e *Engine) Step(s int) (*tensor.Tensor, int64, error) {
 	if e.input == nil {
+		if e.resetErr != nil {
+			return nil, 0, e.resetErr
+		}
 		return nil, 0, fmt.Errorf("infer: Step before Reset")
 	}
 	if s < 1 {
 		return nil, 0, fmt.Errorf("infer: subnet %d out of range", s)
 	}
-	sPrev := e.cur
-	if s < sPrev {
-		sPrev = s // stepping down: reuse only units active in s
-	}
+	batch := e.input.Dim(0)
+	// Stepping down reuses only the units active in s.
+	job := shardJob{b1: batch, sPrev: min(e.cur, s), s: s, top: e.cur, gathered: e.gathered}
 
 	var start time.Time
 	if e.StepTimer != nil {
 		start = time.Now()
 	}
 	var stepMACs int64
-	batch := e.input.Dim(0)
-	switch w := e.workers(batch); {
-	case batch == 1 && w > 1:
-		stepMACs = e.stepLayerSharded(s, sPrev, w)
-	case w > 1:
-		stepMACs = e.stepParallel(s, sPrev, w)
-	default:
-		stepMACs = e.stepSerial(s, sPrev)
+	if w := e.workers(batch); w > 1 {
+		stepMACs = e.stepParallel(job, w)
+	} else {
+		stepMACs = e.runShard(job)
 	}
 	if e.StepTimer != nil {
 		e.StepTimer(s, batch, time.Since(start))
 	}
-	e.cur = s
+	e.cur, e.gathered = s, s
 	e.totalMACs += stepMACs
-	out := e.cache[len(e.cache)-1]
+	out := e.Output()
 
 	if e.Audit {
-		ctx := &nn.Context{Subnet: s, Scratch: e.pool}
-		want := e.net.Forward(e.input, ctx)
+		pool := e.shards[0].pool
+		want := e.net.Forward(e.input, &nn.Context{Subnet: s, Scratch: pool})
 		ok := tensor.Equal(out, want, 1e-9)
-		e.pool.Put(want)
+		pool.Put(want)
 		if !ok {
 			panic(fmt.Sprintf("infer: incremental output diverged from full forward at subnet %d", s))
 		}
@@ -195,258 +244,90 @@ func (e *Engine) Step(s int) (*tensor.Tensor, int64, error) {
 	return out, stepMACs, nil
 }
 
-// workers decides the fan-out for this batch: image sharding is
-// capped at one worker per image, while a batch of one keeps the full
-// worker set — it shards inside layers instead of across images.
+// workers decides the fan-out for this batch: one worker per image at
+// most, so a single image is always walked serially.
 func (e *Engine) workers(batch int) int {
 	w := e.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if batch > 1 && w > batch {
-		w = batch
-	}
-	return w
+	return min(w, batch)
 }
 
-// stepLayer advances one layer of one (sub-)batch, mirroring the
-// paper's per-layer dispatch: RuleShared layers recompute from
-// scratch, Incremental layers reuse the cache, parameter-free layers
-// just run. ctx is a caller-owned reusable context (allocating one
-// per layer step would defeat the walk's zero-alloc property); only
-// its Subnet and Scratch fields are meaningful here.
-func stepLayer(l nn.Layer, x, cached *tensor.Tensor, sPrev, s int, pool *tensor.Pool, ctx *nn.Context) (*tensor.Tensor, int64) {
-	if m, ok := l.(nn.Masked); ok && m.Rule() == nn.RuleShared {
-		// Recompute-per-subnet layer (classifier head or slimmable
-		// backbone): no reuse is possible.
-		ctx.Subnet, ctx.Scratch = s, pool
-		return l.Forward(x, ctx), m.MACs(s)
+// runShard walks the job's rows through every stage of the plan and
+// returns the per-image MACs executed (identical across shards).
+func (e *Engine) runShard(j shardJob) int64 {
+	sh := e.shards[j.wi]
+	timed := j.wi == 0 && e.StageTimer != nil
+	var macs int64
+	var t0 time.Time
+	in := e.input
+	for i := range e.stages {
+		st := &e.stages[i]
+		if timed {
+			t0 = time.Now()
+		}
+		if st.kind == stageGeneric {
+			macs += st.stepGeneric(sh, in, j)
+		} else {
+			macs += st.stepNative(sh.z, in.Data(), j)
+		}
+		if timed {
+			e.StageTimer(i, j.s, time.Since(t0))
+		}
+		in = &st.out
 	}
-	if inc, ok := l.(nn.Incremental); ok {
-		return inc.ForwardIncremental(x, cached, sPrev, s, pool)
-	}
-	ctx.Subnet, ctx.Scratch = s, pool
-	return l.Forward(x, ctx), 0
+	return macs
 }
 
-// stepSerial walks the whole batch through the layer stack on the
-// calling goroutine, recycling each superseded cache tensor.
-func (e *Engine) stepSerial(s, sPrev int) int64 {
-	var stepMACs int64
-	x := e.input
-	for i, l := range e.net.Layers() {
-		out, macs := stepLayer(l, x, e.cache[i], sPrev, s, e.pool, &e.sctx)
-		e.pool.Put(e.cache[i]) // superseded by out; safe to recycle now
-		e.cache[i] = out
-		x = out
-		stepMACs += macs
-	}
-	return stepMACs
-}
-
-// stepParallel shards the batch into w contiguous row ranges, walks
-// each shard through the full layer stack on its own worker (with its
-// own pool — layers' incremental paths touch no shared state), then
-// assembles full-batch cache tensors from the shard outputs. Workers
+// stepParallel shards the batch into w contiguous row ranges and
+// walks each through the whole plan on its own worker, every shard
+// writing its rows of the shared stage buffers in place. Workers
 // 1..w-1 are persistent goroutines fed jobs over a channel; the
-// calling goroutine always walks shard 0 itself. MAC accounting is
-// per image and identical across shards, so the first shard's counts
-// are authoritative.
-func (e *Engine) stepParallel(s, sPrev, w int) int64 {
-	layers := e.net.Layers()
-	batch := e.input.Dim(0)
-	e.ensureShardState(w, len(layers))
-
+// calling goroutine always walks shard 0 itself.
+func (e *Engine) stepParallel(j shardJob, w int) int64 {
+	e.ensureShards(w)
 	// Mark the shard workers' cores busy in the global parallelism
 	// budget (best-effort — w itself is never reduced, so explicit
-	// Workers settings keep their meaning): kernel calls inside the
-	// shards then find the allowance spent and stay serial instead of
+	// Workers settings keep their meaning): kernel calls inside generic
+	// stages then find the allowance spent and stay serial instead of
 	// fanning the arena out on top of an already-saturated worker set.
 	claimed := tensor.ClaimParallelHelpers(w - 1)
 	defer tensor.ReleaseParallelHelpers(claimed)
 
+	batch := j.b1
 	e.wg.Add(w - 1)
 	for wi := 1; wi < w; wi++ {
-		e.jobs <- shardJob{wi: wi, b0: wi * batch / w, b1: (wi + 1) * batch / w, sPrev: sPrev, s: s, layer: -1}
+		j.wi, j.b0, j.b1 = wi, wi*batch/w, (wi+1)*batch/w
+		e.jobs <- j
 	}
-	e.runShard(shardJob{wi: 0, b0: 0, b1: batch / w, sPrev: sPrev, s: s, layer: -1})
+	j.wi, j.b0, j.b1 = 0, 0, batch/w
+	macs := e.runShard(j)
 	e.wg.Wait()
-
-	var stepMACs int64
-	for i := range layers {
-		// Output shape = shard shape with the full batch dimension.
-		e.shapeBuf = append(e.shapeBuf[:0], e.shardOuts[0][i].Shape()...)
-		e.shapeBuf[0] = batch
-		full := e.pool.GetUninit(e.shapeBuf...) // shard copies cover every row
-		fd := full.Data()
-		rowLen := full.Len() / batch
-		for wi := 0; wi < w; wi++ {
-			b0 := wi * batch / w
-			shard := e.shardOuts[wi][i]
-			copy(fd[b0*rowLen:b0*rowLen+shard.Len()], shard.Data())
-			e.wpools[wi].Put(shard)
-			e.shardOuts[wi][i] = nil
-		}
-		e.pool.Put(e.cache[i])
-		e.cache[i] = full
-		stepMACs += e.shardMACs[0][i]
-	}
-	return stepMACs
-}
-
-// runShard walks one shard of the batch through the layer stack,
-// writing outputs and MAC counts into the worker's reusable slices.
-func (e *Engine) runShard(j shardJob) {
-	pool := e.wpools[j.wi]
-	ctx := e.ctxs[j.wi]
-	outs := e.shardOuts[j.wi]
-	macs := e.shardMACs[j.wi]
-	views := e.cacheViews[j.wi]
-	x := e.inViews[j.wi].ViewRows(e.input, j.b0, j.b1)
-	for i, l := range e.net.Layers() {
-		var cached *tensor.Tensor
-		if e.cache[i] != nil {
-			cached = views[i].ViewRows(e.cache[i], j.b0, j.b1)
-		}
-		outs[i], macs[i] = stepLayer(l, x, cached, j.sPrev, j.s, pool, ctx)
-		x = outs[i]
-	}
-}
-
-// stepLayerSharded walks a single-image batch with the persistent
-// workers cooperating INSIDE each layer: layers implementing
-// nn.IncrementalSharded have their span split into grain-aligned
-// contiguous ranges (one per worker, a barrier per layer), everything
-// else runs serially on the calling goroutine. Helpers are claimed
-// from the global tensor parallelism budget for the duration of the
-// step; an empty budget degrades to the plain serial walk. Outputs
-// are bitwise identical to the serial walk — the grain alignment
-// guarantees every element is computed by exactly one worker through
-// exactly the code path a serial run would take.
-func (e *Engine) stepLayerSharded(s, sPrev, w int) int64 {
-	// The claim is held for the whole step, including layers that take
-	// the serial path below: releasing between layers would let a
-	// concurrent claimant steal the workers mid-step, and the layers
-	// that stay serial (activations, copy-only transitions, the tiny
-	// head) sit below the kernel fan-out thresholds anyway, so no
-	// arena parallelism is forfeited by the idle claim.
-	claimed := tensor.ClaimParallelHelpers(w - 1)
-	if claimed == 0 {
-		return e.stepSerial(s, sPrev)
-	}
-	defer tensor.ReleaseParallelHelpers(claimed)
-	w = 1 + claimed
-	layers := e.net.Layers()
-	e.ensureShardState(w, len(layers))
-
-	var stepMACs int64
-	x := e.input
-	for i, l := range layers {
-		sl, ok := l.(nn.IncrementalSharded)
-		if ok {
-			// RuleShared layers recompute from scratch per subnet; the
-			// span contract is incremental-only, so they stay serial
-			// (in practice the tiny classifier head).
-			if m, isMasked := l.(nn.Masked); isMasked && m.Rule() == nn.RuleShared {
-				ok = false
-			}
-		}
-		var span, grain int
-		if ok {
-			span, grain = sl.IncrementalSpan(x, sPrev, s)
-		}
-		wEff := w
-		if span > 0 {
-			if blocks := (span + grain - 1) / grain; wEff > blocks {
-				wEff = blocks
-			}
-		}
-		if span == 0 || wEff < 2 {
-			out, macs := stepLayer(l, x, e.cache[i], sPrev, s, e.pool, &e.sctx)
-			e.pool.Put(e.cache[i])
-			e.cache[i] = out
-			x = out
-			stepMACs += macs
-			continue
-		}
-		out := sl.NewIncrementalOut(x, e.pool)
-		e.wg.Add(wEff - 1)
-		for wi := 1; wi < wEff; wi++ {
-			i0, i1 := spanRange(span, grain, wi, wEff)
-			e.jobs <- shardJob{
-				wi: wi, b0: i0, b1: i1, sPrev: sPrev, s: s,
-				layer: i, lyr: sl, x: x, cached: e.cache[i], out: out,
-			}
-		}
-		i0, i1 := spanRange(span, grain, 0, wEff)
-		e.shardMACs[0][i] = sl.ForwardIncrementalSpan(x, e.cache[i], out, sPrev, s, i0, i1, e.wpools[0])
-		e.wg.Wait()
-		for wi := 0; wi < wEff; wi++ {
-			stepMACs += e.shardMACs[wi][i]
-		}
-		e.pool.Put(e.cache[i])
-		e.cache[i] = out
-		x = out
-	}
-	return stepMACs
-}
-
-// spanRange splits [0,span) into w contiguous grain-aligned ranges
-// and returns the wi-th. Alignment — not the partition itself — is
-// what the bitwise contract rides on, so near-equal block counts per
-// worker are merely a load-balancing choice.
-func spanRange(span, grain, wi, w int) (int, int) {
-	blocks := (span + grain - 1) / grain
-	i0 := wi * blocks / w * grain
-	i1 := (wi + 1) * blocks / w * grain
-	if wi == w-1 || i1 > span {
-		i1 = span
-	}
-	return i0, i1
+	return macs
 }
 
 // shardWorker is the body of one persistent worker goroutine: drain
-// jobs until Close, dispatching on the job's sharding mode. The
-// channel travels as a parameter, not via e.jobs: Close nils the
-// field, and a worker that had not yet been scheduled when Close ran
-// (possible whenever a step dispatches to fewer workers than were
-// spawned) would otherwise block forever on a nil channel — with a
-// synchronous Close, a deadlock.
+// jobs until Close. The channel travels as a parameter, not via
+// e.jobs: Close nils the field, and a worker that had not yet been
+// scheduled when Close ran (possible whenever a step dispatches to
+// fewer workers than were spawned) would otherwise block forever on a
+// nil channel — with a synchronous Close, a deadlock.
 func (e *Engine) shardWorker(jobs chan shardJob) {
 	defer e.workerWG.Done()
 	for job := range jobs {
-		if job.layer >= 0 {
-			e.shardMACs[job.wi][job.layer] = job.lyr.ForwardIncrementalSpan(
-				job.x, job.cached, job.out, job.sPrev, job.s, job.b0, job.b1, e.wpools[job.wi])
-		} else {
-			e.runShard(job)
-		}
+		e.runShard(job)
 		e.wg.Done()
 	}
 }
 
-// ensureShardState grows the per-worker reusable state (pools,
-// contexts, output/MAC slices, view headers) to w workers and nLayers
-// layers, and spawns any missing persistent workers. Steady-state
-// calls find everything sized and do nothing.
-func (e *Engine) ensureShardState(w, nLayers int) {
-	for len(e.wpools) < w {
-		e.wpools = append(e.wpools, tensor.NewPool())
+// ensureShards grows the per-worker scratch to w workers and spawns
+// any missing persistent workers. Steady-state calls do nothing.
+func (e *Engine) ensureShards(w int) {
+	for len(e.shards) < w {
+		e.shards = append(e.shards, &shard{pool: tensor.NewPool(), z: make([]float64, e.zLen)})
 	}
-	for len(e.ctxs) < w {
-		e.ctxs = append(e.ctxs, &nn.Context{})
-	}
-	for len(e.shardOuts) < w {
-		e.shardOuts = append(e.shardOuts, make([]*tensor.Tensor, nLayers))
-		e.shardMACs = append(e.shardMACs, make([]int64, nLayers))
-		e.inViews = append(e.inViews, &tensor.Tensor{})
-		views := make([]*tensor.Tensor, nLayers)
-		for i := range views {
-			views[i] = &tensor.Tensor{}
-		}
-		e.cacheViews = append(e.cacheViews, views)
-	}
-	if e.jobs == nil {
+	if w > 1 && e.jobs == nil {
 		e.jobs = make(chan shardJob)
 	}
 	for e.started < w-1 { // worker 0 is the calling goroutine
@@ -458,8 +339,8 @@ func (e *Engine) ensureShardState(w, nLayers int) {
 
 // Close releases the engine's persistent shard workers and returns
 // once they have all exited (so goroutine-leak checks observe a clean
-// count deterministically). It is only needed for engines that used a
-// sharded path (serial-only engines spawn none) and the engine
+// count deterministically). It is only needed for engines that
+// sharded a batch (serial-only engines spawn none) and the engine
 // remains usable afterwards — the next sharded Step simply respawns
 // workers.
 func (e *Engine) Close() {

@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,15 +17,7 @@ func buildModel(seed uint64) *models.Model {
 		Classes: 4, InC: 1, InH: 8, InW: 8, Expansion: 1.5,
 		Subnets: 3, Rule: nn.RuleIncremental, Seed: seed,
 	})
-	r := tensor.NewRNG(seed ^ 0xFACE)
-	for _, mv := range m.Movable {
-		a := mv.OutAssignment()
-		for i := 0; i < a.Units(); i++ {
-			a.SetID(i, 1+r.Intn(3))
-		}
-		// Guard: keep unit 0 in subnet 1 so every subnet has signal.
-		a.SetID(0, 1)
-	}
+	spreadUnits(m, seed^0xFACE, 3)
 	return m
 }
 
@@ -202,75 +193,13 @@ func TestCalibrateSteps(t *testing.T) {
 	}
 }
 
-// TestBatchParallelMatchesSerial walks serial and sharded engines in
-// lockstep over random subnet sequences: outputs and MAC accounting
-// must be identical, and with Audit every step is also cross-checked
-// against a from-scratch forward. Run under -race this exercises the
-// worker fan-out for data races even on a single-CPU machine.
-func TestBatchParallelMatchesSerial(t *testing.T) {
-	m := buildModel(21)
-	x := tensor.New(8, 1, 8, 8) // batch large enough to shard 4 ways
-	x.FillNormal(tensor.NewRNG(22), 0, 1)
-
-	serial := NewEngine(m.Net)
-	serial.Workers = 1
-	serial.Audit = true
-	parallel := NewEngine(m.Net)
-	parallel.Workers = 4
-	parallel.Audit = true
-	defer parallel.Close()
-
-	serial.Reset(x)
-	parallel.Reset(x)
-	r := tensor.NewRNG(23)
-	for step := 0; step < 10; step++ {
-		s := 1 + r.Intn(3)
-		wantOut, wantMACs, err := serial.Step(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOut, gotMACs, err := parallel.Step(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotMACs != wantMACs {
-			t.Fatalf("step %d to subnet %d: parallel %d MACs, serial %d", step, s, gotMACs, wantMACs)
-		}
-		if !tensor.Equal(gotOut, wantOut, 1e-12) {
-			t.Fatalf("step %d to subnet %d: parallel output diverges", step, s)
-		}
-	}
-	if serial.TotalMACs() != parallel.TotalMACs() {
-		t.Fatalf("total MACs diverge: %d vs %d", serial.TotalMACs(), parallel.TotalMACs())
-	}
-}
-
-// TestBatchParallelOddShards covers shard boundaries that do not
-// divide the batch evenly.
-func TestBatchParallelOddShards(t *testing.T) {
-	m := buildModel(31)
-	x := tensor.New(7, 1, 8, 8)
-	x.FillNormal(tensor.NewRNG(32), 0, 1)
-	e := NewEngine(m.Net)
-	e.Workers = 3
-	e.Audit = true // every step checked against the full forward
-	defer e.Close()
-	e.Reset(x)
-	for _, s := range []int{2, 3, 1, 3} {
-		if _, _, err := e.Step(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestStepSteadyStateAllocs pins the zero-allocation claim for the
-// anytime walk: once the pools and the engine-owned shard state are
-// warm, stepping allocates nothing at all — no activation buffers,
-// no contexts, no shard bookkeeping — on the serial, the
-// batch-parallel (image-sharding) AND the batch-1 intra-layer
-// (layer-sharding) paths. Any allocation here is a regression (a
-// dropped Put, an escaping context, per-step shard slices, a
-// zero-width pool Get).
+// anytime walk: once the stage buffers are bound and the shard workers
+// are up, stepping allocates nothing at all — no activation buffers,
+// no contexts, no shard bookkeeping — serial, image-sharded, or on a
+// lone image with workers to spare. Any allocation here is a
+// regression (a buffer re-bound per walk, an escaping context, a job
+// that stopped travelling by value).
 func TestStepSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -279,21 +208,9 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}{
 		{"serial", 1, 8},
 		{"parallel", 4, 8},
-		{"intra", 4, 1}, // batch-1: cooperative layer sharding
+		{"batch1", 4, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.batch == 1 {
-				// Force the layer-sharded path even on a single-CPU box:
-				// helpers come from the GOMAXPROCS-1 budget, and the tiny
-				// test model sits below the default shard-worthiness bar.
-				oldProcs := runtime.GOMAXPROCS(4)
-				oldMin := nn.ShardMinOps
-				nn.ShardMinOps = 0
-				defer func() {
-					runtime.GOMAXPROCS(oldProcs)
-					nn.ShardMinOps = oldMin
-				}()
-			}
 			m := buildModel(41)
 			x := tensor.New(tc.batch, 1, 8, 8)
 			x.FillNormal(tensor.NewRNG(42), 0, 1)
@@ -305,10 +222,10 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 				for s := 1; s <= 3; s++ {
 					e.MustStep(s)
 				}
-				e.MustStep(1) // step down: the nNew==0 fast paths
+				e.MustStep(1) // step down: nothing to compute but the head
 			}
 			for i := 0; i < 3; i++ {
-				walk() // warm pools, shard state and workers
+				walk() // bind buffers, start workers
 			}
 			if allocs := testing.AllocsPerRun(20, walk); allocs != 0 {
 				t.Fatalf("steady-state %s walk allocates %v times per run, want 0", tc.name, allocs)

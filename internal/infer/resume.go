@@ -2,35 +2,38 @@ package infer
 
 import (
 	"fmt"
+	"slices"
 
 	"steppingnet/internal/tensor"
 )
 
 // LadderState is a portable, immutable snapshot of one image's ladder
-// walk: the per-layer activations the engine had cached when the
-// snapshot was taken, plus the subnet they represent. It is the
-// cross-request extension of the within-request incremental property —
-// a fresh engine seeded with a LadderState via ImportState continues
-// the walk exactly where the exporting engine stood, producing logits
-// BITWISE identical to a cold walk to the same rung (pinned by
+// walk: what the engine's step plan keeps between rungs — each stage's
+// output at the snapshot's subnet — plus the subnet itself. (A stage's
+// input gather is derived data; a resumed engine refills it from the
+// imported outputs on its next step.) It is the cross-request
+// extension of the within-request incremental property — a fresh
+// engine seeded with a LadderState via ImportState continues the walk
+// exactly where the exporting engine stood, producing logits BITWISE
+// identical to a cold walk to the same rung (pinned by
 // TestResumeMatchesColdWalk on both GEMM backends at every worker
 // count). The serving tier's semantic result cache (internal/serve/
-// cache) stores one per cached input.
+// cache) stores one per cached input that stopped below the top rung.
 //
 // All tensors in a LadderState are private batch-1 copies: they alias
-// neither the exporting engine's pool-owned cache nor any importing
-// engine's buffers, so a state may be shared by concurrent readers and
-// must never be mutated after ExportState returns.
+// neither the exporting engine's buffers nor any importing engine's,
+// so a state may be shared by concurrent readers and must never be
+// mutated after ExportState returns.
 type LadderState struct {
 	// Subnet is the rung the snapshot represents (≥ 1).
 	Subnet int
 	// In is the shape of the input batch row the state was exported
 	// from, with the batch dimension normalized to 1. ImportState
 	// rejects inputs of any other shape — resuming a walk under a
-	// different input geometry would silently corrupt the cache reuse.
+	// different input geometry would silently corrupt the reuse.
 	In []int
-	// Layers holds one batch-1 copy of each layer's cached output, in
-	// network layer order.
+	// Layers holds one batch-1 copy of each plan stage's output, in
+	// stage order; the last is the network output.
 	Layers []*tensor.Tensor
 }
 
@@ -64,26 +67,18 @@ func (e *Engine) ExportState(row int) (*LadderState, error) {
 	if e.cur < 1 {
 		return nil, fmt.Errorf("infer: ExportState before any Step (subnet 0)")
 	}
-	batch := e.input.Dim(0)
-	if row < 0 || row >= batch {
+	if batch := e.input.Dim(0); row < 0 || row >= batch {
 		return nil, fmt.Errorf("infer: ExportState row %d out of range [0,%d)", row, batch)
 	}
-	in := append([]int(nil), e.input.Shape()...)
-	in[0] = 1
 	st := &LadderState{
 		Subnet: e.cur,
-		In:     in,
-		Layers: make([]*tensor.Tensor, len(e.cache)),
+		In:     append([]int{1}, e.inRow...),
+		Layers: make([]*tensor.Tensor, len(e.stages)),
 	}
-	for i, c := range e.cache {
-		if c == nil {
-			return nil, fmt.Errorf("infer: ExportState found nil cache for layer %d", i)
-		}
-		shape := append([]int(nil), c.Shape()...)
-		shape[0] = 1
-		t := tensor.New(shape...)
-		rowLen := c.Len() / batch
-		copy(t.Data(), c.Data()[row*rowLen:(row+1)*rowLen])
+	for i := range e.stages {
+		sg := &e.stages[i]
+		t := tensor.New(append([]int{1}, e.shapes[i]...)...)
+		copy(t.Data(), sg.out.Data()[row*sg.outLen:(row+1)*sg.outLen])
 		st.Layers[i] = t
 	}
 	return st, nil
@@ -99,52 +94,64 @@ func (e *Engine) ExportState(row int) (*LadderState, error) {
 // this engine actually executes.
 //
 // x must be the same single-image input the state was exported from
-// (batch 1, shape equal to st.In); the state must structurally match
-// the engine's network (one batch-1 tensor per layer, subnet ≥ 1).
-// Violations are rejected with an error before any engine mutation.
-// The state itself is copied into pool-owned buffers, never adopted,
-// so the caller's state remains shareable and immutable.
+// (batch 1, shape equal to st.In); the state must match the engine's
+// plan: a subnet within the ladder and one batch-1 tensor of the
+// stage's output shape per stage. States arrive from caches and over
+// the wire, so every violation is rejected with an error before any
+// engine mutation — a wrong-shaped tensor would otherwise be indexed
+// out of range by the next Step. The state itself is copied into the
+// engine's buffers, never adopted, so the caller's state remains
+// shareable and immutable.
 func (e *Engine) ImportState(x *tensor.Tensor, st *LadderState) error {
 	if st == nil {
 		return fmt.Errorf("infer: ImportState with nil state")
 	}
-	if st.Subnet < 1 {
-		return fmt.Errorf("infer: ImportState subnet %d out of range", st.Subnet)
+	if st.Subnet < 1 || st.Subnet > e.n {
+		return fmt.Errorf("infer: ImportState subnet %d outside the ladder 1..%d", st.Subnet, e.n)
 	}
-	if len(st.Layers) != len(e.cache) {
-		return fmt.Errorf("infer: ImportState layer count %d, network has %d", len(st.Layers), len(e.cache))
+	if len(st.Layers) != len(e.stages) {
+		return fmt.Errorf("infer: ImportState has %d stage tensors, plan has %d stages", len(st.Layers), len(e.stages))
 	}
 	if x == nil || x.Rank() == 0 || x.Dim(0) != 1 {
 		return fmt.Errorf("infer: ImportState input must be a single-image batch")
 	}
-	if len(st.In) != x.Rank() {
-		return fmt.Errorf("infer: ImportState input rank %d, state expects %d", x.Rank(), len(st.In))
+	if !slices.Equal(x.Shape(), st.In) {
+		return fmt.Errorf("infer: ImportState input shape %v, state expects %v", x.Shape(), st.In)
 	}
-	for i, d := range st.In {
-		if x.Dim(i) != d {
-			return fmt.Errorf("infer: ImportState input shape %v, state expects %v", x.Shape(), st.In)
+	// The plan's stage shapes for this input: the bound ones, or — for
+	// a shape the engine has not walked yet — computed on the side, so
+	// a rejected import leaves the current walk intact.
+	shapes := e.shapes
+	if e.inRow == nil || !slices.Equal(x.Shape()[1:], e.inRow) {
+		var err error
+		if shapes, err = rowShapes(e.stages, x.Shape()[1:]); err != nil {
+			return err
 		}
 	}
 	for i, t := range st.Layers {
-		if t == nil || t.Rank() == 0 || t.Dim(0) != 1 {
-			return fmt.Errorf("infer: ImportState layer %d state is not a batch-1 tensor", i)
+		if t == nil || t.Rank() == 0 || t.Dim(0) != 1 || !slices.Equal(t.Shape()[1:], shapes[i]) {
+			return fmt.Errorf("infer: ImportState stage %d tensor is not a batch-1 tensor of shape %v", i, shapes[i])
 		}
 	}
 	e.Reset(x)
+	if e.resetErr != nil {
+		return e.resetErr
+	}
 	for i, t := range st.Layers {
-		c := e.pool.GetUninit(t.Shape()...)
-		copy(c.Data(), t.Data())
-		e.cache[i] = c
+		copy(e.stages[i].out.Data(), t.Data())
 	}
 	e.cur = st.Subnet
 	return nil
 }
 
 // Output returns the engine's current network output (the last
-// layer's cached activation) without stepping: after Step(s) it is the
-// subnet-s logits, after ImportState it is the resumed rung's logits.
-// Nil before any Step or import. The tensor is engine-owned and valid
+// stage's buffer) without stepping: after Step(s) it is the subnet-s
+// logits, after ImportState it is the resumed rung's logits. Nil
+// before any Step or import. The tensor is engine-owned and valid
 // until the next Step or Reset, like Step's return value.
 func (e *Engine) Output() *tensor.Tensor {
-	return e.cache[len(e.cache)-1]
+	if e.cur == 0 {
+		return nil
+	}
+	return &e.stages[len(e.stages)-1].out
 }

@@ -4,37 +4,28 @@ import (
 	"encoding/json"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"steppingnet/internal/tensor"
 )
 
 // TestResumeMatchesColdWalk is the cross-request resume-equivalence
-// gate, the companion of TestIntraLayerParallelMatchesSerial: over the
-// same property grid of odd model shapes, exporting the ladder state
-// at rung k, importing it into a FRESH engine and climbing k+1..n must
-// produce logits BITWISE identical to a cold walk to each rung — at
-// every worker count in {1, 2, 4, GOMAXPROCS}, on whichever GEMM
-// backend is active (ci.sh runs it under both). It also pins the exact
-// MAC accounting of resumed walks: the resumed rungs themselves cost 0
-// new MACs (TotalMACs restarts at the import), and each climbed step
-// executes exactly the MACs the cold walk's same step executed.
+// gate, the companion of TestImageShardingMatchesSerial: over the
+// same plan grid, exporting the ladder state at rung k, importing it
+// into a FRESH engine and climbing k+1..n must produce logits BITWISE
+// identical to a cold walk to each rung — at every Workers setting, on
+// whichever GEMM backend is active (ci.sh runs it under both). It
+// also pins the exact MAC accounting of resumed walks: the resumed
+// rungs themselves cost 0 new MACs (TotalMACs restarts at the import),
+// and each climbed step executes exactly the MACs the cold walk's
+// same step executed.
 func TestResumeMatchesColdWalk(t *testing.T) {
-	forceLayerSharding(t, 4)
-	grid := []struct {
-		inC, inH  int
-		expansion float64
-	}{
-		{1, 8, 1.0},
-		{3, 9, 1.3},  // odd input: pooling stages skip, odd conv rows
-		{2, 12, 1.7}, // odd filter counts from the expansion
-	}
-	const n = 3 // subnets in the grid models
-	workerCounts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	for gi, gcase := range grid {
-		m := intraGridModel(uint64(131+gi), gcase.inC, gcase.inH, gcase.expansion)
-		x := tensor.New(1, gcase.inC, gcase.inH, gcase.inH)
-		x.FillNormal(tensor.NewRNG(uint64(197+gi)), 0, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	workerCounts := []int{1, 4, 0}
+	for gi, gc := range planGrid(131) {
+		m, n := gc.m, gc.n
+		x := gridInput(m, 1, uint64(197+gi))
 
 		// Cold reference: serial walk 1..n, recording each rung's
 		// logits and per-step MACs.
@@ -60,7 +51,7 @@ func TestResumeMatchesColdWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			if states[s].Subnet != s {
-				t.Fatalf("grid %d: exported subnet %d at rung %d", gi, states[s].Subnet, s)
+				t.Fatalf("%s: exported subnet %d at rung %d", gc.name, states[s].Subnet, s)
 			}
 		}
 		cold.Close()
@@ -78,15 +69,10 @@ func TestResumeMatchesColdWalk(t *testing.T) {
 					t.Fatal(err)
 				}
 				if r.Current() != s {
-					t.Fatalf("grid %d %s rung %d workers=%d: Current()=%d after import", gi, label, s, w, r.Current())
+					t.Fatalf("%s %s rung %d workers=%d: Current()=%d after import", gc.name, label, s, w, r.Current())
 				}
-				if got := r.Output().Data(); len(got) != len(coldOut[s]) {
-					t.Fatalf("grid %d %s rung %d: imported output length %d, cold %d", gi, label, s, len(got), len(coldOut[s]))
-				}
-				for e, v := range r.Output().Data() {
-					if v != coldOut[s][e] {
-						t.Fatalf("grid %d %s rung %d workers=%d: imported logit[%d]=%v, cold %v", gi, label, s, w, e, v, coldOut[s][e])
-					}
+				if !slices.Equal(r.Output().Data(), coldOut[s]) {
+					t.Fatalf("%s %s rung %d workers=%d: imported logits differ from the cold walk's", gc.name, label, s, w)
 				}
 				var climbed int64
 				for up := s + 1; up <= n; up++ {
@@ -95,22 +81,20 @@ func TestResumeMatchesColdWalk(t *testing.T) {
 						t.Fatal(err)
 					}
 					if macs != coldMACs[up] {
-						t.Fatalf("grid %d %s resume@%d→%d workers=%d: %d MACs, cold step %d",
-							gi, label, s, up, w, macs, coldMACs[up])
+						t.Fatalf("%s %s resume@%d→%d workers=%d: %d MACs, cold step %d",
+							gc.name, label, s, up, w, macs, coldMACs[up])
 					}
 					climbed += macs
-					for e, v := range out.Data() {
-						if v != coldOut[up][e] {
-							t.Fatalf("grid %d %s resume@%d→%d workers=%d: logit[%d] rounds differently: %v vs cold %v",
-								gi, label, s, up, w, e, v, coldOut[up][e])
-						}
+					if !slices.Equal(out.Data(), coldOut[up]) {
+						t.Fatalf("%s %s resume@%d→%d workers=%d: logits round differently from the cold walk",
+							gc.name, label, s, up, w)
 					}
 				}
 				// Resumed rungs cost 0 new MACs: the engine's meter
 				// holds exactly the climbed steps' work.
 				if r.TotalMACs() != climbed {
-					t.Fatalf("grid %d %s resume@%d workers=%d: TotalMACs %d, climbed steps sum %d",
-						gi, label, s, w, r.TotalMACs(), climbed)
+					t.Fatalf("%s %s resume@%d workers=%d: TotalMACs %d, climbed steps sum %d",
+						gc.name, label, s, w, r.TotalMACs(), climbed)
 				}
 				r.Close()
 			}

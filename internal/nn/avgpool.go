@@ -56,17 +56,10 @@ func (m *AvgPool2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 
 // poolInto runs the averaging loop from x into out.
 func (m *AvgPool2D) poolInto(x, out *tensor.Tensor) {
-	m.poolRange(x, out, 0, x.Dim(0)*m.c)
-}
-
-// poolRange averages channel planes [bc0,bc1) of the flattened
-// (batch·channel) plane sequence — the shardable core of poolInto;
-// disjoint plane ranges write disjoint slices of out.
-func (m *AvgPool2D) poolRange(x, out *tensor.Tensor, bc0, bc1 int) {
 	oh, ow := m.OutH(), m.OutW()
 	xd, od := x.Data(), out.Data()
 	inv := 1 / float64(m.k*m.k)
-	for bc := bc0; bc < bc1; bc++ {
+	for bc := 0; bc < x.Dim(0)*m.c; bc++ {
 		inBase := bc * m.h * m.w
 		outBase := bc * oh * ow
 		for oy := 0; oy < oh; oy++ {
@@ -117,32 +110,4 @@ func (m *AvgPool2D) ForwardIncremental(x, _ *tensor.Tensor, _, _ int, pool *tens
 	return out, 0
 }
 
-// IncrementalSpan implements IncrementalSharded: pooling is
-// per-channel, so the span is the flattened (batch·channel) plane
-// sequence with no alignment constraint — every output element is
-// computed whole by exactly one worker, making any partition
-// trivially bitwise-identical to the serial loop.
-func (m *AvgPool2D) IncrementalSpan(x *tensor.Tensor, _, _ int) (span, grain int) {
-	planes := x.Dim(0) * m.c
-	if int64(planes)*int64(m.h)*int64(m.w) < ShardMinOps {
-		return 0, 1
-	}
-	return planes, 1
-}
-
-// NewIncrementalOut implements IncrementalSharded (uninitialized: the
-// spans jointly write every element).
-func (m *AvgPool2D) NewIncrementalOut(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
-	return pool.GetUninit(x.Dim(0), m.c, m.OutH(), m.OutW())
-}
-
-// ForwardIncrementalSpan implements IncrementalSharded.
-func (m *AvgPool2D) ForwardIncrementalSpan(x, _, out *tensor.Tensor, _, _, i0, i1 int, _ *tensor.Pool) int64 {
-	m.poolRange(x, out, i0, i1)
-	return 0
-}
-
-var (
-	_ Incremental        = (*AvgPool2D)(nil)
-	_ IncrementalSharded = (*AvgPool2D)(nil)
-)
+var _ Incremental = (*AvgPool2D)(nil)

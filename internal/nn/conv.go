@@ -599,108 +599,7 @@ func (c *Conv2D) ForwardIncremental(x, cached *tensor.Tensor, sPrev, s int, pool
 	return out, macs
 }
 
-// IncrementalSpan implements IncrementalSharded: the span is the
-// layer's output spatial positions (im2col rows), the one axis every
-// piece of the transition — gather, matmul, bias scatter, cache copy
-// — decomposes over for a single image. The grain is a row pair, the
-// ikj kernel's processing unit, so any grain-aligned partition pairs
-// exactly the rows a serial run pairs (bitwise equality). Copy-only
-// transitions (step-down, re-step) and transitions below ShardMinOps
-// report an empty span.
-func (c *Conv2D) IncrementalSpan(x *tensor.Tensor, sPrev, s int) (span, grain int) {
-	lo := 0
-	if sPrev > 0 {
-		lo = sPrev
-	}
-	nNew := c.countFilters(lo, s)
-	if nNew == 0 {
-		return 0, 1
-	}
-	g := c.geom
-	r, cc := g.ColRows(), g.ColCols()
-	work := int64(x.Dim(0)) * int64(r) * int64(cc) * int64(1+nNew)
-	if work < ShardMinOps {
-		return 0, 1
-	}
-	return r, 2
-}
-
-// NewIncrementalOut implements IncrementalSharded. The tensor is
-// zero-filled, so filters inactive in s need no touch from any span.
-func (c *Conv2D) NewIncrementalOut(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
-	g := c.geom
-	return pool.Get(x.Dim(0), g.OutC, g.OutH(), g.OutW())
-}
-
-// ForwardIncrementalSpan implements IncrementalSharded: it is
-// ForwardIncremental restricted to output positions [p0,p1) — the
-// worker gathers its own copy of the new filters' weights, im2cols
-// only its rows, multiplies, and scatters bias-added results and
-// cache copies into its disjoint slice of every filter's plane.
-// The IncrementalSpan caller guarantees sPrev/lo semantics match
-// ForwardIncremental's (span methods are only used when the engine
-// holds a cache exactly when sPrev > 0).
-func (c *Conv2D) ForwardIncrementalSpan(x, cached, out *tensor.Tensor, sPrev, s, p0, p1 int, pool *tensor.Pool) int64 {
-	if p0 >= p1 {
-		return 0
-	}
-	g := c.geom
-	batch := x.Dim(0)
-	r, cc := g.ColRows(), g.ColCols()
-	rows := p1 - p0
-	od := out.Data()
-	imgLen := g.InC * g.InH * g.InW
-	bd := c.b.Value.Data()
-
-	lo := 0
-	if cached != nil {
-		lo = sPrev
-	}
-	nNew := c.countFilters(lo, s)
-	var macs int64
-	var wt, colBuf, zNew *tensor.Tensor
-	if nNew > 0 {
-		wt = pool.GetUninit(cc, nNew)
-		macs = c.gatherFiltersT(wt, lo, s) * int64(rows)
-		colBuf = pool.GetUninit(rows, cc)
-		zNew = pool.GetUninit(rows, nNew)
-	}
-	for b := 0; b < batch; b++ {
-		base := b * g.OutC * r
-		if nNew > 0 {
-			g.Im2ColRange(x.Data()[b*imgLen:(b+1)*imgLen], colBuf.Data(), p0, p1)
-			tensor.Gemm(zNew.Data(), colBuf.Data(), wt.Data(), rows, cc, nNew, false)
-			znd := zNew.Data()
-			j := 0
-			for o := 0; o < g.OutC; o++ {
-				if id := c.assign.ID(o); id <= lo || id > s {
-					continue
-				}
-				orow := od[base+o*r+p0 : base+o*r+p1]
-				bias := bd[o]
-				for p := range orow {
-					orow[p] = znd[p*nNew+j] + bias
-				}
-				j++
-			}
-		}
-		if cached != nil {
-			cd := cached.Data()
-			for o := 0; o < g.OutC; o++ {
-				if outID := c.assign.ID(o); outID <= sPrev && outID <= s {
-					copy(od[base+o*r+p0:base+o*r+p1], cd[base+o*r+p0:base+o*r+p1])
-				}
-			}
-		}
-	}
-	pool.Put(wt)
-	pool.Put(colBuf)
-	pool.Put(zNew)
-	return macs
-}
-
 var (
-	_ Masked             = (*Conv2D)(nil)
-	_ Incremental        = (*Conv2D)(nil)
-	_ IncrementalSharded = (*Conv2D)(nil)
+	_ Masked      = (*Conv2D)(nil)
+	_ Incremental = (*Conv2D)(nil)
 )

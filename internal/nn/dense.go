@@ -449,149 +449,7 @@ func (d *Dense) ForwardIncremental(x, cached *tensor.Tensor, sPrev, s int, pool 
 	return out, macs
 }
 
-// incrementalCounts reports how many output units the transition
-// sPrev→s computes fresh and how many it copies from the cache (the
-// latter zero without a cache).
-func (d *Dense) incrementalCounts(haveCache bool, sPrev, s int) (nNew, nReused int) {
-	for o := 0; o < d.out; o++ {
-		outID := d.assign.ID(o)
-		if outID > s {
-			continue
-		}
-		if !haveCache || outID > sPrev {
-			nNew++
-		} else {
-			nReused++
-		}
-	}
-	return nNew, nReused
-}
-
-// IncrementalSpan implements IncrementalSharded: the span enumerates
-// the transition's fresh units first (indices [0,nNew)) and then its
-// cache-reused units ([nNew, nNew+nReused)) — sharding over the unit
-// axis, the only one a batch-1 dense product has. The grain is the
-// A·Bᵀ kernel's four-column dot tile: a grain-aligned range of fresh
-// units starts on the same tile boundary a serial run would use, so
-// every element takes the identical tile-vs-tail code path and the
-// result is bitwise equal to ForwardIncremental at any worker count.
-func (d *Dense) IncrementalSpan(x *tensor.Tensor, sPrev, s int) (span, grain int) {
-	nNew, nReused := d.incrementalCounts(sPrev > 0, sPrev, s)
-	if nNew == 0 {
-		return 0, 1 // copy-only transition: not worth a barrier
-	}
-	if int64(x.Dim(0))*int64(nNew)*int64(d.in) < ShardMinOps {
-		return 0, 1
-	}
-	return nNew + nReused, 4
-}
-
-// NewIncrementalOut implements IncrementalSharded; zero-filled so
-// units inactive in s need no touch from any span.
-func (d *Dense) NewIncrementalOut(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
-	return pool.Get(x.Dim(0), d.out)
-}
-
-// ForwardIncrementalSpan implements IncrementalSharded: span indices
-// [i0,i1) below nNew select fresh units (gathered into a compact
-// worker-local weight matrix and computed in one matmul, exactly like
-// ForwardIncremental but over a tile-aligned sub-range of the fresh
-// sequence); indices at or above nNew select reused units, copied
-// from the cache.
-func (d *Dense) ForwardIncrementalSpan(x, cached, out *tensor.Tensor, sPrev, s, i0, i1 int, pool *tensor.Pool) int64 {
-	if i0 >= i1 {
-		return 0
-	}
-	batch := x.Dim(0)
-	od := out.Data()
-	wd := d.w.Value.Data()
-	bd := d.b.Value.Data()
-	fresh := func(o int) bool {
-		outID := d.assign.ID(o)
-		return outID <= s && (outID > sPrev || cached == nil)
-	}
-	nNew, _ := d.incrementalCounts(cached != nil, sPrev, s)
-
-	var macs int64
-	f0, f1 := i0, i1
-	if f1 > nNew {
-		f1 = nNew
-	}
-	if f0 < f1 {
-		nLocal := f1 - f0
-		weffNew := pool.Get(nLocal, d.in)
-		ed := weffNew.Data()
-		j := 0
-		for o := 0; o < d.out; o++ {
-			if !fresh(o) {
-				continue
-			}
-			if j >= f1 {
-				break
-			}
-			if j >= f0 {
-				row := o * d.in
-				erow := ed[(j-f0)*d.in : (j-f0+1)*d.in]
-				for i := 0; i < d.in; i++ {
-					if d.synapseActive(o, i, s) {
-						erow[i] = wd[row+i]
-						macs++ // per-image MAC count
-					}
-				}
-			}
-			j++
-		}
-		zNew := pool.GetUninit(batch, nLocal)
-		tensor.GemmTransB(zNew.Data(), x.Data(), ed, batch, d.in, nLocal, false)
-		zd := zNew.Data()
-		j = 0
-		for o := 0; o < d.out; o++ {
-			if !fresh(o) {
-				continue
-			}
-			if j >= f1 {
-				break
-			}
-			if j >= f0 {
-				for b := 0; b < batch; b++ {
-					od[b*d.out+o] = zd[b*nLocal+(j-f0)] + bd[o]
-				}
-			}
-			j++
-		}
-		pool.Put(weffNew)
-		pool.Put(zNew)
-	}
-
-	// Reused units r0..r1 in the reused-index subsequence.
-	r0, r1 := i0-nNew, i1-nNew
-	if r0 < 0 {
-		r0 = 0
-	}
-	if cached != nil && r0 < r1 {
-		cd := cached.Data()
-		j := 0
-		for o := 0; o < d.out; o++ {
-			outID := d.assign.ID(o)
-			if outID > s || fresh(o) {
-				continue
-			}
-			if j >= r1 {
-				break
-			}
-			if j >= r0 {
-				for b := 0; b < batch; b++ {
-					od[b*d.out+o] = cd[b*d.out+o]
-				}
-			}
-			j++
-		}
-	}
-	return macs
-}
-
 var (
-	_ Masked             = (*Dense)(nil)
-	_ Incremental        = (*Dense)(nil)
-	_ IncrementalSharded = (*Dense)(nil)
+	_ Masked      = (*Dense)(nil)
+	_ Incremental = (*Dense)(nil)
 )

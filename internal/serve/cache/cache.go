@@ -84,13 +84,12 @@ type Entry struct {
 	// Logits is the network output at Subnet, one value per class.
 	Logits []float64
 	// State resumes the walk: importing it into an engine and
-	// stepping to s > Subnet computes only the missing units. Nil is
-	// allowed (logits-only entry); such an entry can short-circuit a
-	// request whose budget the rung already covers but cannot seed a
-	// climb. State.Subnet may be NARROWER than Subnet: a wider
-	// logits-only offer widening a resumable entry retains the old
-	// state (see Put), so the logits answer at Subnet while a resume
-	// seeds at State.Subnet.
+	// stepping to s > Subnet computes only the missing units. Nil
+	// marks a logits-only entry — what a walk that reached the top of
+	// the ladder publishes, since nothing can climb from there; it
+	// answers repeats but seeds no climb. A wider offer replaces the
+	// entry whole, state included: a narrower state kept under
+	// top-rung logits would be dead weight.
 	State *infer.LadderState
 }
 
@@ -334,9 +333,8 @@ func (c *Cache) Generation() uint64 {
 // Put offers an entry for k and reports whether it was stored. An
 // existing live entry at an equal or wider rung wins (the offer is
 // dropped — the cache keeps only the widest walk per key, and a
-// narrower result adds nothing). A wider offer that carries no
-// resume state retains the replaced entry's state (re-accounted),
-// so widening never destroys resumability. Storing may evict
+// narrower result adds nothing). A wider offer replaces the entry
+// whole, its resume state included. Storing may evict
 // least-recently-used entries to restore the bounds; an entry that
 // alone exceeds MaxBytes is rejected without disturbing the rest.
 func (c *Cache) Put(k Key, e *Entry) bool {
@@ -380,17 +378,6 @@ func (c *Cache) putLocked(k Key, e *Entry) bool {
 			c.unlink(n)
 			c.pushFront(n)
 			return false
-		}
-		if e.State == nil && n.entry.State != nil {
-			// Widen-retains-state: a wider logits-only offer must not
-			// destroy the narrower entry's resumability. Merge: the
-			// new rung's logits answer, the old state still seeds a
-			// climb (from State.Subnet). Skipped only if the merged
-			// footprint alone would bust the byte bound.
-			merged := &Entry{Subnet: e.Subnet, Logits: e.Logits, State: n.entry.State}
-			if ms := merged.bytes(); c.cfg.MaxBytes <= 0 || ms <= c.cfg.MaxBytes {
-				e, size = merged, ms
-			}
 		}
 		c.bytes -= n.size
 		n.entry, n.size = e, size

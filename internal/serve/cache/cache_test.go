@@ -146,17 +146,15 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestWidenRetainsState pins the widen-retains-state fix: a wider
-// logits-only offer (State == nil — legal per the Entry doc, and
-// exactly what the warming wire path can produce) replacing a
-// narrower RESUMABLE entry must keep the old state, so later repeats
-// can still full-hit at the new rung AND seed a climb from the
-// retained rung. Byte accounting must follow the merged entry.
-func TestWidenRetainsState(t *testing.T) {
+// TestWidenDropsStaleState pins what a logits-only offer does to a
+// resumable entry: a walk that reached the top rung publishes logits
+// alone, and the narrower entry's state — which no request can use any
+// more — must go with the entry it belonged to, not ride along as dead
+// weight. Byte accounting must follow.
+func TestWidenDropsStaleState(t *testing.T) {
 	c := New(Config{MaxEntries: 8, MaxBytes: 1 << 20})
 	k := KeyOf([]float64{7})
-	narrow := entry(2, 64) // resumable at rung 2
-	if !c.Put(k, narrow) {
+	if !c.Put(k, entry(2, 64)) { // resumable at rung 2
 		t.Fatal("first Put should store")
 	}
 	wide := entry(3, 0) // logits-only at rung 3
@@ -167,22 +165,13 @@ func TestWidenRetainsState(t *testing.T) {
 		t.Fatal("wider offer should replace")
 	}
 	e, ok := c.Get(k)
-	if !ok || e.Subnet != 3 {
-		t.Fatalf("Get returned %+v, want rung-3 entry", e)
+	if !ok || e != wide {
+		t.Fatalf("Get returned %+v, want the rung-3 offer itself", e)
 	}
-	if e.State == nil {
-		t.Fatal("widen dropped the narrower entry's resume state")
+	if c.Bytes() != wide.bytes() {
+		t.Fatalf("Bytes %d, want the logits-only footprint %d", c.Bytes(), wide.bytes())
 	}
-	if e.State.Subnet != 2 {
-		t.Fatalf("retained state at rung %d, want 2", e.State.Subnet)
-	}
-	// Accounting: the live entry is the merged one — rung-3 logits
-	// plus the rung-2 state.
-	want := (&Entry{Subnet: 3, Logits: wide.Logits, State: narrow.State}).bytes()
-	if c.Bytes() != want {
-		t.Fatalf("Bytes %d, want merged footprint %d", c.Bytes(), want)
-	}
-	// A wider offer that carries its OWN state replaces outright.
+	// A wider offer that carries its own state installs it.
 	wider := entry(4, 32)
 	if !c.Put(k, wider) {
 		t.Fatal("wider resumable offer should replace")

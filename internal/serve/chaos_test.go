@@ -16,13 +16,11 @@ import (
 // TestChaosRandomizedLifecycles is the serving layer's chaos gate,
 // run under -race by ci.sh on both GEMM backends. Each iteration
 // draws a random server shape (workers, queue depth, batch size,
-// per-engine intra-layer worker count, priority classes, batch
-// window, refresh loop on/off), slams it with a storm of concurrent
-// submitters using randomized priorities and deadlines — the random
-// MaxBatch and arrival jitter make every storm a mid-flight mix of
-// batch-1 pops (which flip the engines into cooperative layer
-// sharding when EngineWorkers > 1) and batch-N pops (image sharding /
-// serial) — closes the server at a random point *during* the storm,
+// priority classes, batch window, refresh loop on/off), slams it with
+// a storm of concurrent submitters using randomized priorities and
+// deadlines — the random MaxBatch and arrival jitter make every storm
+// a mid-flight mix of lone and multi-request pops — closes the server
+// at a random point *during* the storm,
 // possibly from several goroutines at once, and then asserts the
 // lifecycle contract:
 //
@@ -33,9 +31,8 @@ import (
 //     class (post-Close submits count as neither);
 //   - the per-subnet histograms reconcile with the served counts;
 //   - no goroutine survives Close (workers, former, refresh loop and
-//     every engine's shard workers — image-mode AND the layer-mode
-//     workers the batch-1 pops spin up — are all released, exactly
-//     once; a double engine release would panic or leak);
+//     every engine are all released, exactly once; a double engine
+//     release would panic or leak);
 //   - Close is idempotent, including concurrently with itself.
 func TestChaosRandomizedLifecycles(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -53,7 +50,6 @@ func TestChaosRandomizedLifecycles(t *testing.T) {
 				Model:           m,
 				Subnets:         3,
 				Workers:         1 + rng.Intn(3),
-				EngineWorkers:   1 + rng.Intn(3),
 				QueueDepth:      4 + rng.Intn(29),
 				MaxBatch:        1 + rng.Intn(4),
 				PriorityClasses: 1 + rng.Intn(3),

@@ -212,15 +212,18 @@ func TestSpeculativePreClimbWidensEntry(t *testing.T) {
 
 // TestWarmInstallServesTransferredEntry pins the serve-side halves of
 // affinity-aware warming: CachePeek exports an entry without touching
-// hit/miss counters or recency, the state survives the wire round
-// trip bitwise, and WarmInstall on a second server makes the repeat a
-// zero-MAC full-rung cache hit there, counted in CacheWarmed.
+// hit/miss counters or recency; a walk that reached the top rung
+// publishes logits alone (there is nothing to resume) and installing
+// them on a second server makes the repeat a zero-MAC cache hit there;
+// a walk stopped below the top publishes its state, which survives the
+// wire round trip bitwise — the second server resumes from it to
+// exactly the cold walk's logits. Both installs count in CacheWarmed.
 func TestWarmInstallServesTransferredEntry(t *testing.T) {
 	m := buildModel(481)
 	mk := func() *Server {
 		sv, err := New(Config{
 			Model: m, Subnets: 3, Workers: 1, CacheEntries: 16,
-			Calibration: instantSteps(m, 3),
+			Calibration: slowTopStep(m, 3),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -230,21 +233,54 @@ func TestWarmInstallServesTransferredEntry(t *testing.T) {
 	a, b := mk(), mk()
 	defer a.Close()
 	defer b.Close()
-	in := inputVec(482, m.InC*m.InH*m.InW)
+	// peek waits for a's worker to publish the walk it just answered
+	// (Submit returns when the answer is delivered, just before).
+	peek := func(k cache.Key) *cache.Entry {
+		t.Helper()
+		ent, ok := a.CachePeek(k)
+		for deadline := time.Now().Add(5 * time.Second); !ok && time.Now().Before(deadline); ent, ok = a.CachePeek(k) {
+			time.Sleep(time.Millisecond)
+		}
+		if !ok {
+			t.Fatal("walk was never published to the cache")
+		}
+		return ent
+	}
+	const generous = 1000 * time.Hour
 
-	first, err := a.Submit(Request{Input: in, Deadline: time.Hour})
+	full := inputVec(482, m.InC*m.InH*m.InW)
+	first, err := a.Submit(Request{Input: full, Deadline: generous})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := cache.KeyOf(in)
-	// Submit returns when the answer is delivered; the worker publishes
-	// the walk to the cache just after, so wait for the entry.
-	ent, ok := a.CachePeek(k)
-	for deadline := time.Now().Add(5 * time.Second); !ok && time.Now().Before(deadline); ent, ok = a.CachePeek(k) {
-		time.Sleep(time.Millisecond)
+	top := peek(cache.KeyOf(full))
+	if top.Subnet != 3 || first.Subnet != 3 || top.State != nil {
+		t.Fatalf("top-rung entry %+v after answer at %d: want rung 3 and no state", top, first.Subnet)
 	}
-	if !ok || ent.Subnet != first.Subnet || ent.State == nil {
-		t.Fatalf("CachePeek after a full walk: ok=%v ent=%+v", ok, ent)
+	if !b.WarmInstall(cache.KeyOf(full), &cache.Entry{Subnet: 3, Logits: append([]float64(nil), top.Logits...)}) {
+		t.Fatal("WarmInstall rejected a fresh transferred entry")
+	}
+	repeat, err := b.Submit(Request{Input: full, Deadline: generous})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !repeat.CacheHit || repeat.MACs != 0 || repeat.Subnet != 3 {
+		t.Fatalf("warmed repeat %+v, want zero-MAC hit at 3", repeat)
+	}
+	for i, v := range repeat.Logits {
+		if v != first.Logits[i] {
+			t.Fatalf("warmed logit[%d]=%v, origin %v", i, v, first.Logits[i])
+		}
+	}
+
+	part := inputVec(483, m.InC*m.InH*m.InW)
+	coldOuts, coldMACs := coldLadder(t, m, part, 3)
+	if tight, err := a.Submit(Request{Input: part, Deadline: 50 * time.Millisecond}); err != nil || tight.Subnet != 2 {
+		t.Fatalf("tight submit: %+v, %v; want a stop at rung 2", tight, err)
+	}
+	ent := peek(cache.KeyOf(part))
+	if ent.Subnet != 2 || ent.State == nil {
+		t.Fatalf("entry of a walk stopped at rung 2: %+v, want its state", ent)
 	}
 	// Simulate the router's transfer: serialize the state to JSON and
 	// rebuild it, exactly as the /cache/entry wire endpoint does.
@@ -264,28 +300,23 @@ func TestWarmInstallServesTransferredEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installed := &cache.Entry{
-		Subnet: ent.Subnet,
-		Logits: append([]float64(nil), ent.Logits...),
-		State:  st,
+	if !b.WarmInstall(cache.KeyOf(part), &cache.Entry{Subnet: 2, Logits: append([]float64(nil), ent.Logits...), State: st}) {
+		t.Fatal("WarmInstall rejected a fresh resumable entry")
 	}
-	if !b.WarmInstall(k, installed) {
-		t.Fatal("WarmInstall rejected a fresh transferred entry")
-	}
-	repeat, err := b.Submit(Request{Input: in, Deadline: time.Hour})
+	resumed, err := b.Submit(Request{Input: part, Deadline: generous})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !repeat.CacheHit || repeat.MACs != 0 || repeat.Subnet != first.Subnet {
-		t.Fatalf("warmed repeat %+v, want zero-MAC hit at %d", repeat, first.Subnet)
+	if !resumed.Resumed || resumed.Subnet != 3 || resumed.MACs != coldMACs[3] {
+		t.Fatalf("repeat over the transferred state %+v, want a resume to 3 costing %d MACs", resumed, coldMACs[3])
 	}
-	for i, v := range repeat.Logits {
-		if v != first.Logits[i] {
-			t.Fatalf("warmed logit[%d]=%v, origin %v", i, v, first.Logits[i])
+	for i, v := range resumed.Logits {
+		if v != coldOuts[3][i] {
+			t.Fatalf("resumed logit[%d]=%v, cold walk %v", i, v, coldOuts[3][i])
 		}
 	}
-	if snapB := b.Stats(); snapB.CacheWarmed != 1 || snapB.CacheHits != 1 {
-		t.Fatalf("warm target counters %+v, want CacheWarmed=1 CacheHits=1", snapB)
+	if snapB := b.Stats(); snapB.CacheWarmed != 2 || snapB.CacheHits != 1 || snapB.CacheResumes != 1 {
+		t.Fatalf("warm target counters %+v, want CacheWarmed=2 CacheHits=1 CacheResumes=1", snapB)
 	}
 	// Peeking for export must not have counted traffic on the origin.
 	if snapA := a.Stats(); snapA.CacheHits != 0 {

@@ -100,48 +100,46 @@ func TestCacheHitServesStoredLogits(t *testing.T) {
 func TestCachedResumeBitwiseEqualsCold(t *testing.T) {
 	m := buildModel(411)
 	coldOuts, coldMACs := coldLadder(t, m, inputVec(412, m.InC*m.InH*m.InW), 3)
-	for _, ew := range []int{1, 2, 4} {
-		sv, err := New(Config{
-			Model: m, Subnets: 3, Workers: 1, EngineWorkers: ew,
-			CacheEntries: 16, Calibration: slowTopStep(m, 3),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := inputVec(412, m.InC*m.InH*m.InW)
-
-		tight, err := sv.Submit(Request{Input: in, Deadline: 50 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tight.Subnet != 2 || tight.Resumed {
-			t.Fatalf("ew=%d tight submit reached subnet %d (resumed=%v), want cold stop at 2", ew, tight.Subnet, tight.Resumed)
-		}
-		generous, err := sv.Submit(Request{Input: in, Deadline: 1000 * time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !generous.Resumed || generous.CacheHit {
-			t.Fatalf("ew=%d generous submit not resumed: %+v", ew, generous)
-		}
-		if generous.Subnet != 3 {
-			t.Fatalf("ew=%d resumed walk stopped at %d, want 3", ew, generous.Subnet)
-		}
-		for i, v := range generous.Logits {
-			if v != coldOuts[3][i] {
-				t.Fatalf("ew=%d resumed logit[%d]=%v, cold walk %v", ew, i, v, coldOuts[3][i])
-			}
-		}
-		// Exact MAC accounting: the resumed rungs cost 0 new MACs, so
-		// the answer meters only the climbed step(s).
-		if generous.MACs != coldMACs[3] {
-			t.Fatalf("ew=%d resumed MACs %d, want climbed step only %d", ew, generous.MACs, coldMACs[3])
-		}
-		if snap := sv.Stats(); snap.CacheResumes != 1 || snap.Classes[0].CacheResumes != 1 {
-			t.Fatalf("ew=%d cache resume counters %d/%d, want 1/1", ew, snap.CacheResumes, snap.Classes[0].CacheResumes)
-		}
-		sv.Close()
+	sv, err := New(Config{
+		Model: m, Subnets: 3, Workers: 1,
+		CacheEntries: 16, Calibration: slowTopStep(m, 3),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	in := inputVec(412, m.InC*m.InH*m.InW)
+
+	tight, err := sv.Submit(Request{Input: in, Deadline: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tight.Subnet != 2 || tight.Resumed {
+		t.Fatalf("tight submit reached subnet %d (resumed=%v), want cold stop at 2", tight.Subnet, tight.Resumed)
+	}
+	generous, err := sv.Submit(Request{Input: in, Deadline: 1000 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !generous.Resumed || generous.CacheHit {
+		t.Fatalf("generous submit not resumed: %+v", generous)
+	}
+	if generous.Subnet != 3 {
+		t.Fatalf("resumed walk stopped at %d, want 3", generous.Subnet)
+	}
+	for i, v := range generous.Logits {
+		if v != coldOuts[3][i] {
+			t.Fatalf("resumed logit[%d]=%v, cold walk %v", i, v, coldOuts[3][i])
+		}
+	}
+	// Exact MAC accounting: the resumed rungs cost 0 new MACs, so
+	// the answer meters only the climbed step(s).
+	if generous.MACs != coldMACs[3] {
+		t.Fatalf("resumed MACs %d, want climbed step only %d", generous.MACs, coldMACs[3])
+	}
+	if snap := sv.Stats(); snap.CacheResumes != 1 || snap.Classes[0].CacheResumes != 1 {
+		t.Fatalf("cache resume counters %d/%d, want 1/1", snap.CacheResumes, snap.Classes[0].CacheResumes)
+	}
+	sv.Close()
 }
 
 // TestEarlyExitNeverChangesArgmax pins the early-exit safety

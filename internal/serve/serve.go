@@ -61,18 +61,6 @@ type Config struct {
 	// Workers sets the engine-pool size (one infer.Engine per
 	// worker). 0 means GOMAXPROCS.
 	Workers int
-	// EngineWorkers is the per-engine worker count a batch-1 pop may
-	// fan out over: when the batch former hands a worker a single
-	// request, that worker's engine shards INSIDE each layer
-	// (infer.Engine's cooperative layer sharding) instead of leaving
-	// every other core idle — the intra-layer fan-out claims helpers
-	// from the global parallelism budget, so it engages exactly when
-	// cores are spare and degrades to the serial walk under full
-	// load. Batches of two or more requests always run single-worker
-	// engines (pool-level concurrency already covers them). 0 means
-	// Workers — the batch former hands a lone request the whole
-	// worker set.
-	EngineWorkers int
 	// QueueDepth bounds the admission queue; a class that has filled
 	// its share of the queue rejects with ErrOverloaded. 0 means 64.
 	QueueDepth int
@@ -210,12 +198,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.EngineWorkers < 0 {
-		return c, fmt.Errorf("serve: negative EngineWorkers %d", c.EngineWorkers)
-	}
-	if c.EngineWorkers == 0 {
-		c.EngineWorkers = c.Workers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -971,11 +953,8 @@ func (s *Server) former() {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	e := infer.NewEngine(s.cfg.Model.Net)
-	// Multi-request batches rely on pool-level concurrency — a nested
-	// batch-parallel fan-out per engine would oversubscribe the CPUs —
-	// so engines run single-worker by default; runBatch hands a
-	// batch-1 pop the EngineWorkers set for budget-gated intra-layer
-	// sharding instead.
+	// Concurrency is pool-level: a nested image-sharding fan-out per
+	// engine would oversubscribe the CPUs, so engines walk serially.
 	e.Workers = 1
 	if s.cfg.RefreshInterval > 0 {
 		e.StepTimer = s.observeStep
@@ -1065,14 +1044,6 @@ func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []
 		}
 		copy(x.Data()[i*s.imgLen:(i+1)*s.imgLen], p.input)
 	}
-	// A lone request gets the whole worker set: the engine shards
-	// inside each layer (claiming spare cores from the global budget)
-	// instead of walking single-threaded while the pool sits idle.
-	if b == 1 {
-		e.Workers = s.cfg.EngineWorkers
-	} else {
-		e.Workers = 1
-	}
 	var out *tensor.Tensor
 	cur := 0
 	// A lone request with a cached rung below its cap resumes instead
@@ -1083,11 +1054,7 @@ func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []
 	// cache cannot hold rows at different rungs).
 	if b == 1 && batch[0].ent != nil && batch[0].ent.State != nil {
 		if err := e.ImportState(x, batch[0].ent.State); err == nil {
-			// The engine resumes at the STATE's rung, which can sit
-			// below the entry's logits rung after a widen retained an
-			// older state — the climb accounting must follow the
-			// engine, not the entry.
-			cur = batch[0].ent.State.Subnet
+			cur = e.Current()
 			out = e.Output()
 			batch[0].resumed = true
 		} else {
@@ -1179,9 +1146,14 @@ func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []
 				s.cache.Touch(p.key)
 				continue
 			}
-			st, err := e.ExportState(i)
-			if err != nil {
-				break // nothing exportable (cannot happen after a stepped walk)
+			// A walk that reached the top rung can never be resumed:
+			// its entry carries the logits alone.
+			var st *infer.LadderState
+			if cur < s.n {
+				var err error
+				if st, err = e.ExportState(i); err != nil {
+					break // nothing exportable (cannot happen after a stepped walk)
+				}
 			}
 			logits := make([]float64, s.classes)
 			copy(logits, out.Data()[i*s.classes:(i+1)*s.classes])

@@ -169,60 +169,60 @@ func TestAnswersMatchEngine(t *testing.T) {
 	}
 }
 
-// TestBatch1WorkerSetMatchesSerial pins the EngineWorkers plumbing:
-// a batch-1 pop handed the whole worker set (the engine's cooperative
-// intra-layer sharding, forced on via GOMAXPROCS and a zeroed
-// shard-worthiness bar) must answer with logits BITWISE identical to
-// the single-worker serial walk — the serving layer must not be able
-// to tell how many workers computed an answer.
+// TestBatch1WorkerSetMatchesSerial pins that the serving layer cannot
+// tell how an answer was batched: with cores to spare, a lone pop
+// (walked serially by construction) and the rows of a 4-wide
+// micro-batch must all answer with logits BITWISE identical to a
+// serial batch-1 engine walk of the same input to the same rung, and
+// be charged that walk's MACs.
 func TestBatch1WorkerSetMatchesSerial(t *testing.T) {
-	oldProcs := runtime.GOMAXPROCS(4)
-	oldMin := nn.ShardMinOps
-	nn.ShardMinOps = 0
-	defer func() {
-		runtime.GOMAXPROCS(oldProcs)
-		nn.ShardMinOps = oldMin
-	}()
-
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	m := buildModel(3)
 	srv, err := New(Config{
-		Model: m, Subnets: 3, Workers: 1, EngineWorkers: 4,
+		Model: m, Subnets: 3, Workers: 1, MaxBatch: 4, QueueDepth: 16,
 		Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.cfg.EngineWorkers != 4 {
-		t.Fatalf("EngineWorkers = %d after defaults, want 4", srv.cfg.EngineWorkers)
-	}
 
-	in := inputVec(4, srv.imgLen)
-	res, err := srv.Submit(Request{Input: in})
-	if err != nil {
-		t.Fatal(err)
+	const reqs = 9
+	results := make([]Result, reqs)
+	errs := make([]error, reqs)
+	results[0], errs[0] = srv.Submit(Request{Input: inputVec(40, srv.imgLen)}) // a lone pop
+	var wg sync.WaitGroup
+	for i := 1; i < reqs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = srv.Submit(Request{Input: inputVec(40+uint64(i), srv.imgLen)})
+		}(i)
 	}
-	if res.Subnet != 3 {
-		t.Fatalf("generous deadline answered from subnet %d, want 3", res.Subnet)
-	}
+	wg.Wait()
 
 	e := infer.NewEngine(m.Net)
 	e.Workers = 1
 	defer e.Close()
 	x := tensor.New(1, m.InC, m.InH, m.InW)
-	copy(x.Data(), in)
-	e.Reset(x)
-	var want *tensor.Tensor
-	for s := 1; s <= 3; s++ {
-		want, _ = e.MustStep(s)
-	}
-	for j, v := range res.Logits {
-		if v != want.Data()[j] {
-			t.Fatalf("logit %d = %g from the worker-set walk, serial walk says %g", j, v, want.Data()[j])
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
 		}
-	}
-	if res.MACs != e.TotalMACs() {
-		t.Fatalf("request charged %d MACs, serial walk spent %d", res.MACs, e.TotalMACs())
+		copy(x.Data(), inputVec(40+uint64(i), srv.imgLen))
+		e.Reset(x)
+		var want *tensor.Tensor
+		for s := 1; s <= res.Subnet; s++ {
+			want, _ = e.MustStep(s)
+		}
+		for j, v := range res.Logits {
+			if v != want.Data()[j] {
+				t.Fatalf("request %d logit %d = %g, serial walk to rung %d says %g", i, j, v, res.Subnet, want.Data()[j])
+			}
+		}
+		if res.MACs != e.TotalMACs() {
+			t.Fatalf("request %d charged %d MACs, serial walk spent %d", i, res.MACs, e.TotalMACs())
+		}
 	}
 }
 

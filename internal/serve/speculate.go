@@ -100,10 +100,7 @@ func (s *Server) runSpeculative(e *infer.Engine, bufs map[int]*tensor.Tensor, p 
 		return
 	}
 	ent, ok := s.cache.Peek(p.key)
-	// A widened entry (state narrower than its logits rung) is skipped:
-	// one-rung offers below the published rung cannot persist, so the
-	// climb would be thrown away.
-	if !ok || ent.State == nil || ent.Subnet >= s.n || ent.State.Subnet != ent.Subnet {
+	if !ok || ent.State == nil || ent.Subnet >= s.n {
 		return
 	}
 	gen := s.cache.Generation()
@@ -113,7 +110,6 @@ func (s *Server) runSpeculative(e *infer.Engine, bufs map[int]*tensor.Tensor, p 
 		bufs[1] = x
 	}
 	copy(x.Data(), p.input)
-	e.Workers = s.cfg.EngineWorkers
 	if err := e.ImportState(x, ent.State); err != nil {
 		return // structurally stale state: let the LRU age it out
 	}
@@ -124,9 +120,12 @@ func (s *Server) runSpeculative(e *infer.Engine, bufs map[int]*tensor.Tensor, p 
 	}
 	s.speculated.Add(1)
 	s.specMACs.Add(macs)
-	st, err := e.ExportState(0)
-	if err != nil {
-		return
+	// The top rung is the end of the ladder: no state to resume from.
+	var st *infer.LadderState
+	if next < s.n {
+		if st, err = e.ExportState(0); err != nil {
+			return
+		}
 	}
 	logits := make([]float64, s.classes)
 	copy(logits, out.Data()[:s.classes])

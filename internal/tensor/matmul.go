@@ -118,6 +118,17 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 	gemmRowsImpl(c, a, b, 0, m, k, n, accumulate)
 }
 
+// GemmSerial is Gemm pinned to the calling goroutine: the same kernel,
+// bitwise the same result, never a fan-out. The inference plan's rung
+// panels (a handful of rows over one image) use it — at that size the
+// arena's wake-up costs more than the product, and a step's latency
+// must not depend on which helpers happen to be free.
+func GemmSerial(c, a, b []float64, m, k, n int, accumulate bool) {
+	if m > 0 && n > 0 {
+		gemmRowsImpl(c, a, b, 0, m, k, n, accumulate)
+	}
+}
+
 // GemmTransA computes C (+)= Aᵀ·B on raw slices: A is k×m, B is k×n,
 // C is m×n.
 func GemmTransA(c, a, b []float64, k, m, n int, accumulate bool) {
@@ -149,6 +160,14 @@ func GemmTransB(c, a, b []float64, m, k, n int, accumulate bool) {
 		return
 	}
 	gemmTransBRowsImpl(c, a, b, 0, m, k, n, accumulate)
+}
+
+// GemmTransBSerial is GemmTransB pinned to the calling goroutine (see
+// GemmSerial).
+func GemmTransBSerial(c, a, b []float64, m, k, n int, accumulate bool) {
+	if m > 0 && n > 0 {
+		gemmTransBRowsImpl(c, a, b, 0, m, k, n, accumulate)
+	}
 }
 
 // gemmRows is the serial ikj kernel over output rows [i0,i1). Rows

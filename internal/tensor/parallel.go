@@ -27,8 +27,7 @@ import (
 //     again bitwise identical at every worker count.
 //
 // The bitwise contract is pinned by TestRowShardBitwiseInvariance /
-// TestColumnShardBitwiseInvariance here and by
-// TestIntraLayerParallelMatchesSerial at the engine level.
+// TestColumnShardBitwiseInvariance.
 
 // gemmMinParFlops is the multiply-add count (m·k·n) below which a
 // row-splittable matmul stays on the current goroutine. The persistent
@@ -66,7 +65,7 @@ const colsPerTask = 4
 const im2colRowsPerTask = 8
 
 // helperCount tracks busy parallel helpers across ALL concurrent
-// users — kernel fan-outs here and the inference engine's intra-layer
+// users — kernel fan-outs here and the inference engine's image
 // shard workers (via ClaimParallelHelpers). Capping the total at
 // GOMAXPROCS-1 means a kernel call made from inside an
 // already-parallel caller finds the budget spent and simply runs
@@ -76,8 +75,8 @@ var helperCount atomic.Int64
 // ClaimParallelHelpers claims up to max helper slots from the global
 // GOMAXPROCS-1 parallelism budget and returns how many were granted
 // (possibly zero). Callers that fan work out across their own worker
-// goroutines — the inference engine's cooperative layer sharding —
-// claim before dispatching and release when the fan-in completes, so
+// goroutines — the inference engine's image sharding — claim before
+// dispatching and release when the fan-in completes, so
 // kernel-level and engine-level parallelism share one budget instead
 // of multiplying.
 func ClaimParallelHelpers(max int) int {
