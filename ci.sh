@@ -3,7 +3,7 @@
 #
 #   ./ci.sh                      # vet + build + doc health + race tests (both
 #                                # backends) + fuzz smoke + chaos + serve
-#                                # smoke-run + perf gate
+#                                # smoke-run + stage profile + perf gate
 #   ./ci.sh --quick              # skip the race detector (slow on 1-CPU boxes)
 #   ./ci.sh --update-baseline    # additionally refresh BENCH_baseline.json
 #                                # after a passing gate (combinable with --quick)
@@ -20,7 +20,9 @@
 # zero-alloc path and on ns/op regressions beyond the ±15% noise
 # threshold — ±50% for the entries that cross the loopback — (ns/op is
 # not gated when the committed baseline came from a different GEMM
-# backend than this machine selects). The committed
+# backend than this machine selects), and on the two relations within
+# the new file (walk ≤ 1.10 × forward at batch 1; batch-8 walk ≤ 8 ×
+# 1.05 × batch-1 walk). The committed
 # baseline is only replaced under --update-baseline — and never
 # cross-backend — so sub-threshold regressions cannot ratchet
 # silently and a scalar box cannot clobber the avx2 reference; when a
@@ -210,6 +212,12 @@ SMOKE_FLAGS='-loadgen -rps 300 -duration 1s -workers 1 -queue 16 -batch 4 -refre
 go run ./cmd/stepserve $SMOKE_FLAGS
 echo "== serve smoke-run (scalar backend) =="
 STEPPINGNET_NOSIMD=1 go run ./cmd/stepserve $SMOKE_FLAGS
+
+echo "== stage profile =="
+# Where a batch-1 walk's time goes, per plan stage and rung: recorded
+# in the committed trajectory file under the label "head" for this box
+# (num_cpu, backend, workers), not gated.
+go run ./cmd/stepbench -exp profile -out BENCH_layers.json
 
 echo "== perf baseline =="
 trap 'rm -f BENCH_new.json' EXIT # the gate's scratch file, never committed

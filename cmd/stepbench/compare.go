@@ -29,6 +29,13 @@ const loopbackNoiseThreshold = 0.5
 // the batch-1 widest forward before -compare fails.
 const walkOverForwardSlack = 0.10
 
+// batchOverLoneSlack is how far the batch-8 ladder walk may exceed
+// eight batch-1 walks: a batch never costs more per image than a lone
+// image. It is what the engine's fan-out floor guarantees — a batch of
+// small steps is walked serially, not handed to workers at a loss —
+// and, being a ratio within one run, it does not move with the host.
+const batchOverLoneSlack = 0.05
+
 // noiseThreshold returns the ns/op band benchmark name is gated with.
 func noiseThreshold(name string) float64 {
 	if strings.HasPrefix(name, "http_") || strings.HasPrefix(name, "route_") {
@@ -53,7 +60,9 @@ func noiseThreshold(name string) float64 {
 //   - benchmarks missing from the new file fail (a silently dropped
 //     benchmark is how perf contracts rot);
 //   - within the new file, anytime_walk_lenet3c1l_b1 may not exceed
-//     forward_lenet3c1l_b1 by more than 10% (walkOverForwardSlack).
+//     forward_lenet3c1l_b1 by more than 10% (walkOverForwardSlack), and
+//     anytime_walk_lenet3c1l (batch 8) may not exceed eight times
+//     anytime_walk_lenet3c1l_b1 by more than 5% (batchOverLoneSlack).
 //
 // New benchmarks absent from the old baseline are reported and, when
 // allocating, never fail, so adding coverage stays cheap. New
@@ -166,6 +175,10 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 	if fwd.NsPerOp > 0 && float64(walk.NsPerOp) > (1+walkOverForwardSlack)*float64(fwd.NsPerOp) {
 		failures = append(failures, fmt.Sprintf("anytime_walk_lenet3c1l_b1 (%d ns/op) exceeds forward_lenet3c1l_b1 (%d ns/op) by more than %.0f%%",
 			walk.NsPerOp, fwd.NsPerOp, walkOverForwardSlack*100))
+	}
+	if b8 := newBase.Results["anytime_walk_lenet3c1l"]; walk.NsPerOp > 0 && float64(b8.NsPerOp) > 8*(1+batchOverLoneSlack)*float64(walk.NsPerOp) {
+		failures = append(failures, fmt.Sprintf("anytime_walk_lenet3c1l (%d ns/op for 8 images) exceeds 8 × anytime_walk_lenet3c1l_b1 (%d ns/op) by more than %.0f%%",
+			b8.NsPerOp, walk.NsPerOp, batchOverLoneSlack*100))
 	}
 
 	if len(failures) > 0 {

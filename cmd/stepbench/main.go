@@ -8,6 +8,7 @@
 //	stepbench -exp table1 -scale full
 //	stepbench -exp fig6,reuse -scale tiny
 //	stepbench -exp profile
+//	stepbench -exp profile -out BENCH_layers.json -label "PR 18"
 //	stepbench -bench BENCH_baseline.json
 //	stepbench -compare BENCH_baseline.json BENCH_new.json
 //	stepbench -compare -strict BENCH_baseline.json BENCH_new.json
@@ -32,6 +33,8 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments: table1,fig6,fig7,fig8,reuse,profile or all")
 	scale := flag.String("scale", "quick", "problem scale: tiny, quick or full")
 	csvDir := flag.String("csv", "", "also write machine-readable CSV files into this directory")
+	layersOut := flag.String("out", "", "with -exp profile: merge the stage profile into this trajectory file (BENCH_layers.json)")
+	label := flag.String("label", "head", "with -out: the snapshot's label; a snapshot with the same label and box is replaced")
 	benchOut := flag.String("bench", "", "run the substrate perf benchmarks, write the JSON baseline to this file and exit")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new), exit non-zero on regressions")
 	update := flag.Bool("update", false, "with -compare: replace the old baseline with the new one after a passing, same-backend comparison")
@@ -99,7 +102,14 @@ func main() {
 	run("fig7", func() (renderer, error) { return experiments.Fig7(sc) })
 	run("fig8", func() (renderer, error) { return experiments.Fig8(sc) })
 	run("reuse", func() (renderer, error) { return experiments.Reuse(sc) })
-	run("profile", func() (renderer, error) { return runProfile() })
+	run("profile", func() (renderer, error) {
+		res, err := runProfile()
+		if err == nil && *layersOut != "" {
+			res.Label = *label
+			err = res.mergeInto(*layersOut)
+		}
+		return res, err
+	})
 
 	if ran == 0 {
 		log.Printf("nothing to run for -exp=%q", *exp)

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -32,11 +37,47 @@ type profileRow struct {
 // walk of the served benchmark model spends its time, one row per plan
 // stage per rung, with the box it was taken on.
 type profileResult struct {
+	Label   string       `json:"label"` // which code was profiled; set by -label when the result is kept
 	NumCPU  int          `json:"num_cpu"`
 	Backend string       `json:"backend"`
 	Workers int          `json:"workers"`
 	Walks   int          `json:"walks"`
+	WalkUs  float64      `json:"walk_us"` // the rows' µs summed: one four-rung walk
 	Rows    []profileRow `json:"rows"`
+}
+
+// layersFile is BENCH_layers.json: the stage profile's trajectory, one
+// snapshot per label and box (num_cpu, backend, workers), so "where
+// does the walk's time go" has a history next to the code.
+type layersFile struct {
+	Snapshots []*profileResult `json:"snapshots"`
+}
+
+// mergeInto writes r into the trajectory file at path, replacing the
+// snapshot with its label and box if there is one, appending otherwise.
+func (r *profileResult) mergeInto(path string) error {
+	var f layersFile
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &f)
+	} else if errors.Is(err, fs.ErrNotExist) {
+		err = nil
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	at := slices.IndexFunc(f.Snapshots, func(s *profileResult) bool {
+		return s.Label == r.Label && s.NumCPU == r.NumCPU && s.Backend == r.Backend && s.Workers == r.Workers
+	})
+	if at < 0 {
+		f.Snapshots = append(f.Snapshots, r)
+	} else {
+		f.Snapshots[at] = r
+	}
+	if data, err = json.MarshalIndent(f, "", "  "); err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // runProfile walks the served model up its ladder with the engine's
@@ -88,6 +129,7 @@ func runProfile() (*profileResult, error) {
 		for i := first; i < len(res.Rows); i++ {
 			res.Rows[i].Share = res.Rows[i].Us / step
 		}
+		res.WalkUs += step
 	}
 	return res, nil
 }
@@ -95,8 +137,8 @@ func runProfile() (*profileResult, error) {
 // Render prints the table.
 func (r *profileResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Step-plan profile: batch-1 ladder walk, median of %d walks (num_cpu=%d backend=%s workers=%d)\n",
-		r.Walks, r.NumCPU, r.Backend, r.Workers)
+	fmt.Fprintf(&b, "Step-plan profile: batch-1 ladder walk, %.1f µs, median of %d walks (num_cpu=%d backend=%s workers=%d)\n",
+		r.WalkUs, r.Walks, r.NumCPU, r.Backend, r.Workers)
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "rung\tstage\tkind\tµs\tMACs\tGMAC/s\tshare of step")
 	for _, row := range r.Rows {

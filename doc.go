@@ -42,15 +42,17 @@
 // stage for any other layer) over engine-owned persistent buffers,
 // with one pre-packed weight panel per stage and rung whose K
 // dimension is ordered so the inputs a rung may read form a prefix.
-// A rung step extends each conv's channel-major patch matrix by the
-// newly activated input channels, multiplies the rung's panel over
-// its K-prefix, and writes bias, ReLU and pooling for the new planes
-// only — so reuse pays in time, not only in MACs: the batch-1
-// four-rung walk costs less than one from-scratch forward of the
-// widest subnet (gated by `stepbench -compare`). A lone image is
-// always walked serially; batches shard by image. Every unit is
-// computed by one fixed chain of float operations, so cold, resumed,
-// batched and sharded walks agree bitwise.
+// A rung step extends each conv's gather by the newly activated input
+// channels (shifted copies of their planes, which the patch matrix's
+// rows are windows of), multiplies the rung's panel over its K-prefix
+// in one tensor.RungGemm call that stores finished activations, and
+// pools the new planes only — so reuse pays in time, not only in
+// MACs: the batch-1 four-rung walk costs less than one from-scratch
+// forward of the widest subnet (gated by `stepbench -compare`). A
+// lone image is always walked serially; batches shard by image when a
+// step is big enough to repay the hand-off. Every unit is computed by
+// one fixed chain of float operations, so cold, resumed, batched and
+// sharded walks agree bitwise.
 //
 // The kernels come in two backends behind a dispatch layer
 // (internal/tensor/gemm_dispatch.go). On amd64, AVX2+FMA assembly

@@ -9,9 +9,10 @@
 //
 // The engine does not call the network's layers one by one. NewEngine
 // compiles the ladder into a step plan (plan.go) — fused stages over
-// persistent buffers, one pre-packed weight panel per stage and rung —
-// so that a step from rung s′ to s touches only the units the rungs in
-// between add: reuse pays in wall-clock time, not only in MACs.
+// persistent buffers, one pre-packed weight panel per stage and rung,
+// each conv rung one tensor.RungGemm over views of the kept input — so
+// a step from rung s′ to s touches only the units the rungs in between
+// add: reuse pays in wall-clock time, not only in MACs.
 // Engine.Stages and Engine.StageTimer expose the plan for profiling;
 // LadderState (resume.go) is what the plan keeps between rungs, in
 // portable form, and ImportState is the trust boundary it re-enters
@@ -39,12 +40,12 @@ import (
 // changes to its weights, masks or assignments are not seen.
 //
 // A single image is always walked on the calling goroutine. Batches
-// of two or more images are sharded by IMAGE over persistent workers:
-// each walks its contiguous rows through the whole plan, writing
-// straight into the shared stage buffers. Images are computed one at
-// a time by the same code either way, so the sharded walk is BITWISE
-// identical to the serial one at every worker count
-// (TestImageShardingMatchesSerial).
+// of two or more images are sharded by IMAGE over persistent workers
+// when a step is big enough to repay the hand-off (shardMinMACs): each
+// walks its contiguous rows through the whole plan, writing straight
+// into the shared stage buffers. Images are computed one at a time by
+// the same code either way, so the sharded walk is BITWISE identical to
+// the serial one at every worker count (TestImageShardingMatchesSerial).
 type Engine struct {
 	net    *nn.Network
 	stages []stage
@@ -65,7 +66,8 @@ type Engine struct {
 	Audit bool
 
 	// Workers caps the image-sharding fan-out of batches of two or
-	// more images; 0 means GOMAXPROCS, 1 forces the serial walk.
+	// more images; 0 means GOMAXPROCS, 1 forces the serial walk. Steps
+	// too small to repay the hand-off stay serial (shardMinMACs).
 	Workers int
 
 	// StepTimer, when non-nil, observes every successful Step with
@@ -89,12 +91,13 @@ type Engine struct {
 	// shards[0] is the calling goroutine's scratch; the others belong
 	// to the persistent shard workers, which are fed jobs over a
 	// channel (a `go` statement per Step would allocate its closure).
-	shards   []*shard
-	zLen     int
-	jobs     chan shardJob
-	wg       sync.WaitGroup // per-step fan-in barrier
-	workerWG sync.WaitGroup // tracks worker goroutine lifetimes for Close
-	started  int            // persistent shard workers spawned so far
+	shards       []*shard
+	minShardMACs int64 // shardMinMACs; tests that must shard a small model zero it
+	zLen         int
+	jobs         chan shardJob
+	wg           sync.WaitGroup // per-step fan-in barrier
+	workerWG     sync.WaitGroup // tracks worker goroutine lifetimes for Close
+	started      int            // persistent shard workers spawned so far
 
 	totalMACs int64
 }
@@ -104,7 +107,7 @@ type Engine struct {
 // max-pool); every other layer must implement nn.Incremental, be a
 // masked RuleShared layer (recomputed per step) or be parameter-free.
 func NewEngine(net *nn.Network) *Engine {
-	e := &Engine{net: net}
+	e := &Engine{net: net, minShardMACs: shardMinMACs}
 	e.stages, e.n = compile(net)
 	for i := range e.stages {
 		e.zLen = max(e.zLen, e.stages[i].zLen())
@@ -220,7 +223,7 @@ func (e *Engine) Step(s int) (*tensor.Tensor, int64, error) {
 		start = time.Now()
 	}
 	var stepMACs int64
-	if w := e.workers(batch); w > 1 {
+	if w := e.workers(job); w > 1 {
 		stepMACs = e.stepParallel(job, w)
 	} else {
 		stepMACs = e.runShard(job)
@@ -244,14 +247,34 @@ func (e *Engine) Step(s int) (*tensor.Tensor, int64, error) {
 	return out, stepMACs, nil
 }
 
-// workers decides the fan-out for this batch: one worker per image at
-// most, so a single image is always walked serially.
-func (e *Engine) workers(batch int) int {
+// shardMinMACs is the fan-out floor: a step is sharded only if every
+// shard gets this many MACs, because handing rows to a parked goroutine
+// and waiting for it is a fixed cost a small step cannot repay. On the
+// reference box (2 vCPUs, avx2), batch 8, 2 workers against 1, step by
+// step and by MACs per shard: the benchmark's LeNet-3C1L (0.15–0.45 M)
+// takes 7–30 % longer sharded, its walk 0.47 ms against 0.38; VGG-16
+// at 0.6–0.8 M anything from 11 % less to 23 % more; from 1.0 M up
+// (VGG-16 at 32×32, 1–10 M) every step takes 12–43 % less.
+const shardMinMACs = 1 << 20
+
+// workers decides the step's fan-out: the Workers cap, at most one
+// worker per image — a single image is always walked serially — and
+// one worker if the shards would fall below the floor.
+func (e *Engine) workers(j shardJob) int {
 	w := e.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return min(w, batch)
+	if w = min(w, j.b1); w > 1 {
+		var macs int64
+		for i := range e.stages {
+			macs += e.stages[i].macs(j)
+		}
+		if macs*int64((j.b1+w-1)/w) < e.minShardMACs {
+			return 1
+		}
+	}
+	return w
 }
 
 // runShard walks the job's rows through every stage of the plan and

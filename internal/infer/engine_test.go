@@ -215,7 +215,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			x := tensor.New(tc.batch, 1, 8, 8)
 			x.FillNormal(tensor.NewRNG(42), 0, 1)
 			e := NewEngine(m.Net)
-			e.Workers = tc.workers
+			e.Workers, e.minShardMACs = tc.workers, 0
 			defer e.Close()
 			walk := func() {
 				e.Reset(x)

@@ -17,20 +17,25 @@ import (
 // A native stage (conv, dense, head) keeps two things between rungs:
 // its output, one plane or element per unit in the layer's own unit
 // order, and a GATHER of its input in the order the weight panels
-// multiply over. For a convolution the gather is the channel-major
-// patch matrix colT (K rows of r output positions; row (c,ky,kx) is
-// the input plane c shifted by the tap, zero where the tap leaves the
-// image), for a dense layer the input vector itself. Gather rows are
-// sorted by the rung of the input unit they come from, so the inputs
-// a rung-q unit may read — those of rung ≤ q — are a PREFIX, and a
-// step extends the gather by the newly activated input units only.
+// multiply over: for a dense layer the input vector itself, for a
+// convolution the channel-major patch matrix colT (K·K rows of r
+// output positions per channel; row (c,ky,kx) is plane c shifted by
+// the tap, zero where the tap leaves the image) — stored, at stride 1,
+// as K horizontally shifted, vertically zero-padded copies of the
+// plane, (InH+2·Pad)×OutW each, of which row (c,ky,kx) is the WINDOW
+// at ky·OutW of copy (c,kx); at any other stride as the K·K rows
+// themselves. rowOff lists where every row starts and the rung kernel
+// reads through it, so one walker serves both layouts. Groups are
+// sorted by the rung of the input unit they come from, so the inputs a
+// rung-q unit may read — those of rung ≤ q — are a PREFIX, and a step
+// extends the gather by the newly activated input units only.
 //
 // For every rung the stage holds a pre-packed weight panel: the rows
 // of the units that rung adds, columns in gather order, mask, prune
 // and bias resolved, with its exact MAC count. Rung q of a conv is
-// then one product panel(nNew×K_q) · colT(K_q×r) — the vector
-// dimension is the r output positions, results land one plane per
-// unit — followed by bias, ReLU and max-pool on the new planes only.
+// then one tensor.RungGemm, act(panel(nNew×K_q) · colT(K_q×r) + bias)
+// — the vector dimension is the r output positions, results land one
+// finished plane per unit — and a max-pool of the new planes only.
 //
 // Bitwise contracts. A unit is only ever computed by its own rung's
 // panel over its own rung's K-prefix, one image at a time, so its
@@ -75,21 +80,19 @@ type stage struct {
 	stepMACs []int64
 
 	// Native stages. The input units ("groups": channels, or runs of
-	// per flattened elements) appear in the gather in order[], group
-	// order[j] starting at gather row off[j]; ends[q] counts the
-	// groups of rung ≤ q. A conv pads each rung's rows to a multiple
-	// of four (zero rows against zero panel columns), which keeps
-	// every product on the kernel's unrolled path.
-	geom       tensor.ConvGeom
-	relu       bool
-	poolK      int
-	per        int // gather rows per group: K·K taps, or elements per input unit
-	r          int // gather row length: output positions (1 for dense)
-	units      int // output units
-	order, off []int
-	ends       []int
-	panels     []panel // index = rung; 0 unused
-	volatileIn bool    // the producer recomputes: its output may change at every rung
+	// per flattened elements) appear in the gather in order[]; ends[q]
+	// counts the groups of rung ≤ q. A conv's gather row p — panel
+	// column p — starts at rowOff[p].
+	geom          tensor.ConvGeom
+	relu          bool
+	poolK         int
+	per           int // gather rows per group: K·K taps, or elements per input unit
+	r             int // gather row length: output positions (1 for dense)
+	units         int // output units
+	order, rowOff []int
+	ends          []int
+	panels        []panel // index = rung; 0 unused
+	volatileIn    bool    // the producer recomputes: its output may change at every rung
 
 	gatherLen int // gather floats per image
 	plane     int // output floats per unit
@@ -139,8 +142,8 @@ func compile(net *nn.Network) ([]stage, int) {
 				st.relu = true
 				fuse(relu)
 			}
-			if mp, ok := next().(*nn.MaxPool2D); ok {
-				if c, h, w, k := mp.Geom(); c == g.OutC && h == g.OutH() && w == g.OutW() {
+			if mp, ok := next().(*nn.MaxPool2D); ok && st.relu { // what pool relies on
+				if c, h, w, k := mp.Geom(); c == g.OutC && h == g.OutH() && w == g.OutW() && k == 2 {
 					st.poolK, st.plane = k, (h/k)*(w/k)
 					fuse(mp)
 				}
@@ -190,24 +193,29 @@ func (st *stage) pack(w, bias []float64, pruned []bool, in, out *subnet.Assignme
 	st.per, st.units = per, out.Units()
 	st.ends = make([]int, n+1)
 	st.panels = make([]panel, n+1)
-	pos := make([]int, groups)
-	rows := 0
+	// A group is per rows of r floats, tap (ky,kx) at ky·kyStep+kx·kxStep;
+	// a stride-1 conv's rows are windows, OutW apart, of K shifted planes.
+	geo, kxStep, kyStep, groupLen := st.geom, st.r, st.geom.K*st.r, per*st.r
+	if st.kind == stageConv && geo.Stride == 1 {
+		kxStep, kyStep = (geo.InH+2*geo.Pad)*geo.OutW(), geo.OutW()
+		groupLen = geo.K * kxStep
+	}
+	pos := make([]int, groups) // a group's first gather row
 	for q := 1; q <= n; q++ {
 		for g := 0; g < groups; g++ {
-			if in.ID(g) == q {
-				pos[g] = rows
-				st.order = append(st.order, g)
-				st.off = append(st.off, rows)
-				rows += per
+			if in.ID(g) != q {
+				continue
 			}
-		}
-		if st.kind == stageConv {
-			rows = (rows + 3) &^ 3
+			pos[g] = len(st.order) * per
+			for t := 0; t < per && st.kind == stageConv; t++ {
+				st.rowOff = append(st.rowOff, len(st.order)*groupLen+t/geo.K*kyStep+t%geo.K*kxStep)
+			}
+			st.order = append(st.order, g)
 		}
 		st.ends[q] = len(st.order)
-		st.panels[q].k = rows
+		st.panels[q].k = len(st.order) * per
 	}
-	st.gatherLen = rows * st.r
+	st.gatherLen = len(st.order) * groupLen
 	for q := 1; q <= n; q++ {
 		p := &st.panels[q]
 		var active int64
@@ -235,7 +243,7 @@ func (st *stage) pack(w, bias []float64, pruned []bool, in, out *subnet.Assignme
 	}
 }
 
-// zLen is the scratch a shard needs to hold one panel's raw product.
+// zLen is the scratch a shard needs to hold one panel's product.
 func (st *stage) zLen() int {
 	z := 0
 	for _, p := range st.panels {
@@ -274,9 +282,9 @@ func (st *stage) stepNative(z, in []float64, j shardJob) int64 {
 		gat := st.gather[b*st.gatherLen : (b+1)*st.gatherLen]
 		for g := st.ends[g0]; g < st.ends[s]; g++ {
 			if st.kind == stageConv {
-				st.fillColT(gat, x, st.order[g], st.off[g])
+				st.fillGroup(gat, x, st.order[g], st.rowOff[g*st.per:])
 			} else {
-				copy(gat[st.off[g]:st.off[g]+st.per], x[st.order[g]*st.per:])
+				copy(gat[g*st.per:(g+1)*st.per], x[st.order[g]*st.per:])
 			}
 		}
 		out := od[b*st.outLen : (b+1)*st.outLen]
@@ -294,119 +302,111 @@ func (st *stage) stepNative(z, in []float64, j shardJob) int64 {
 			}
 		}
 	}
-	var macs int64
+	return st.macs(j)
+}
+
+// macs is the plan's exact per-image MAC count of the job's step here:
+// the rungs added, or the one landed on if the stage recomputes whole.
+func (st *stage) macs(j shardJob) (macs int64) {
+	n := len(st.stepMACs) - 1
+	lo, s := min(j.sPrev, n)+1, min(j.s, n)
+	if st.kind == stageHead || st.shared {
+		lo = s
+	}
 	for q := lo; q <= s; q++ {
 		macs += st.stepMACs[q]
 	}
 	return macs
 }
 
-// fillColT writes the K·K colT rows of input channel ch, starting at
-// gather row row0: row (ky,kx) is the channel's plane shifted by the
-// tap. Positions whose tap falls outside the image are never written
-// and stay at the zero the buffer was allocated with.
-func (st *stage) fillColT(colT, img []float64, ch, row0 int) {
-	g, r := st.geom, st.r
-	outH, outW := g.OutH(), g.OutW()
+// fillGroup writes input channel ch into its gather group, whose rows
+// start at off: a row per tap (ky,kx), the channel's plane shifted by
+// the tap — at stride 1, a padded-height plane per kx, which every ky
+// reads a window of. Positions whose tap leaves the image are never
+// written and stay at the zero the buffer was allocated with.
+func (st *stage) fillGroup(gat, img []float64, ch int, off []int) {
+	g, outW := st.geom, st.geom.OutW()
 	plane := img[ch*g.InH*g.InW : (ch+1)*g.InH*g.InW]
-	for ky := 0; ky < g.K; ky++ {
+	taps, rows := g.K, g.OutH()
+	if g.Stride == 1 {
+		taps, rows = 1, g.InH+2*g.Pad
+	}
+	for ky := 0; ky < taps; ky++ {
 		for kx := 0; kx < g.K; kx++ {
-			dst := colT[(row0+ky*g.K+kx)*r:][:r]
+			row, s := gat[off[ky*g.K+kx]:], kx-g.Pad
+			if g.Stride == 1 && outW == g.InW {
+				// Same width: the whole plane moves sideways in one piece,
+				// and what wrapped around a row's end is padding again.
+				body, wrap := row[g.Pad*outW:][:len(plane)], 0
+				copy(body[max(-s, 0):], plane[max(s, 0):])
+				if s > 0 {
+					wrap = outW - s
+				}
+				for y := wrap; y < len(body); y += outW {
+					for x := range max(s, -s) { // a memclr call costs more than these one or two
+						body[y+x] = 0
+					}
+				}
+				continue
+			}
 			// Output columns whose tap lands inside the input row.
-			ox0 := max(0, (g.Pad-kx+g.Stride-1)/g.Stride)
-			ox1 := min(outW, max(0, (g.InW+g.Pad-kx+g.Stride-1)/g.Stride))
-			for oy := 0; oy < outH; oy++ {
-				iy := oy*g.Stride + ky - g.Pad
-				if iy < 0 || iy >= g.InH || ox0 >= ox1 {
-					continue
-				}
-				src, d := plane[iy*g.InW:(iy+1)*g.InW], dst[oy*outW:(oy+1)*outW]
-				if g.Stride == 1 {
-					copy(d[ox0:ox1], src[ox0+kx-g.Pad:])
-					continue
-				}
-				for ox := ox0; ox < ox1; ox++ {
-					d[ox] = src[ox*g.Stride+kx-g.Pad]
+			ox0 := max(0, (g.Stride-1-s)/g.Stride)
+			ox1 := min(outW, max(0, (g.InW+g.Stride-1-s)/g.Stride))
+			for y := 0; y < rows; y++ {
+				if iy := y*g.Stride + ky - g.Pad; iy >= 0 && iy < g.InH {
+					for ox := ox0; ox < ox1; ox++ {
+						row[y*outW+ox] = plane[iy*g.InW+ox*g.Stride+s]
+					}
 				}
 			}
 		}
 	}
 }
 
-// runPanel computes one rung's units for one image: the raw product
-// into z, then bias and activation (and pooling) into the units' own
-// planes of out.
+// runPanel computes one rung's units for one image into the units' own
+// planes of out; z holds a conv's finished planes before pooling.
 func (st *stage) runPanel(p *panel, gat, out, z []float64) {
 	nu := len(p.units)
 	if nu == 0 {
 		return
 	}
 	if st.kind == stageConv {
-		r := st.r
-		tensor.GemmSerial(z[:nu*r], p.w, gat[:p.k*r], nu, p.k, r, false)
-		for i, o := range p.units {
-			st.finishPlane(out[o*st.plane:(o+1)*st.plane], z[i*r:(i+1)*r], p.bias[i])
-		}
+		tensor.RungGemm(z[:nu*st.r], p.w, gat, st.rowOff[:p.k], p.bias, nu, p.k, st.r, st.relu)
+		st.pool(out, z, p.units)
 		return
 	}
 	tensor.GemmTransBSerial(z[:nu], gat[:p.k], p.w, 1, p.k, nu, false)
 	for i, o := range p.units {
 		v := z[i] + p.bias[i]
-		if st.relu {
-			v = above(0, v)
+		if st.relu && !(v > 0) {
+			v = 0
 		}
 		out[o] = v
 	}
 }
 
-// finishPlane turns one unit's raw conv product z (OutH×OutW) into
-// its output plane: max over each poolK×poolK window, plus bias, then
-// ReLU. Rounding is monotone, so adding the bias after the max gives
-// the same float as pooling the biased, activated plane.
-func (st *stage) finishPlane(dst, z []float64, bias float64) {
-	if st.poolK == 1 {
-		for i, v := range z {
-			v += bias
-			if st.relu {
-				v = above(0, v)
-			}
-			dst[i] = v
+// pool writes the panel's finished conv planes z (OutH×OutW per unit)
+// to the units' output planes, through the 2×2 max if the stage pools.
+// Only a pool behind a ReLU is fused, so z holds no NaN and nothing
+// below +0, and such floats order as their bit patterns do: nn.
+// MaxPool2D's max is an integer max, with no NaN case and no branch on
+// which of two activations is larger (a coin toss to the predictor).
+func (st *stage) pool(out, z []float64, units []int) {
+	w, ow := st.geom.OutW(), st.geom.OutW()/2
+	for i, o := range units {
+		dst, zp := out[o*st.plane:(o+1)*st.plane], z[i*st.r:(i+1)*st.r]
+		if st.poolK == 1 {
+			copy(dst, zp)
+			continue
 		}
-		return
-	}
-	k, w := st.poolK, st.geom.OutW()
-	ow := w / k
-	for oy := 0; oy*ow < len(dst); oy++ {
-		rows, d := z[oy*k*w:][:k*w], dst[oy*ow:][:ow]
-		for ox := range d {
-			best := math.Inf(-1)
-			if k == 2 { // every model's pool: unrolled
-				r0, r1 := rows[2*ox:][:2], rows[w+2*ox:][:2]
-				best = above(above(above(above(best, r0[0]), r0[1]), r1[0]), r1[1])
-			} else {
-				for ky := 0; ky < k; ky++ {
-					for _, v := range rows[ky*w+ox*k:][:k] {
-						best = above(best, v)
-					}
-				}
+		for oy := 0; oy*ow < len(dst); oy++ {
+			d, r0, r1 := dst[oy*ow:][:ow], zp[2*oy*w:][:w], zp[(2*oy+1)*w:][:w]
+			for ox := range d {
+				d[ox] = math.Float64frombits(max(math.Float64bits(r0[2*ox]), math.Float64bits(r0[2*ox+1]),
+					math.Float64bits(r1[2*ox]), math.Float64bits(r1[2*ox+1])))
 			}
-			best += bias
-			if st.relu {
-				best = above(0, best)
-			}
-			d[ox] = best
 		}
 	}
-}
-
-// above is max as nn.MaxPool2D takes it — a NaN never displaces best
-// — without a data-dependent branch: which of two activations is the
-// larger is a coin toss to the predictor, whether one is NaN is not.
-func above(best, v float64) float64 {
-	if v != v {
-		return best
-	}
-	return max(best, v)
 }
 
 // shard is the scratch one worker steps with; shards[0] belongs to
@@ -429,7 +429,7 @@ func (st *stage) stepGeneric(sh *shard, in *tensor.Tensor, j shardJob) int64 {
 	var out *tensor.Tensor
 	var macs int64
 	if st.shared {
-		out, macs = st.layer.Forward(x, &sh.ctx), st.stepMACs[min(j.s, len(st.stepMACs)-1)]
+		out, macs = st.layer.Forward(x, &sh.ctx), st.macs(j)
 	} else if inc, ok := st.layer.(nn.Incremental); ok {
 		var cached *tensor.Tensor
 		if j.top > 0 {

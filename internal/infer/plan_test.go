@@ -9,6 +9,7 @@ import (
 
 	"steppingnet/internal/models"
 	"steppingnet/internal/nn"
+	"steppingnet/internal/subnet"
 	"steppingnet/internal/tensor"
 )
 
@@ -38,6 +39,43 @@ func spreadUnits(m *models.Model, seed uint64, n int) {
 	}
 }
 
+// stridedModel has the two conv geometries no topology in
+// internal/models has, one per layout of the gather's offset table: a
+// stride-2 convolution (a gather row per tap, and an input the stride
+// does not divide) feeding an unpadded 5×5 one whose output is narrower
+// than its input (shifted planes filled row by row), pooled to 1×1
+// before the shared head. Biases are non-zero.
+func stridedModel(seed uint64, n int) *models.Model {
+	rng := tensor.NewRNG(seed)
+	in, a1, a2 := subnet.NewAssignment(2, n), subnet.NewAssignment(5, n), subnet.NewAssignment(7, n)
+	conv1 := nn.NewConv2D(nn.Conv2DConfig{
+		Name: "conv1", Geom: tensor.ConvGeom{InC: 2, InH: 12, InW: 12, OutC: 5, K: 3, Stride: 2, Pad: 1},
+		Rule: nn.RuleIncremental, AssignIn: in, Assign: a1, Init: rng,
+	})
+	conv2 := nn.NewConv2D(nn.Conv2DConfig{
+		Name: "conv2", Geom: tensor.ConvGeom{InC: 5, InH: 6, InW: 6, OutC: 7, K: 5, Stride: 1},
+		Rule: nn.RuleIncremental, AssignIn: a1, Assign: a2, Init: rng,
+	})
+	head := nn.NewDense(nn.DenseConfig{
+		Name: "head", In: 7, Out: 5, Rule: nn.RuleShared,
+		AssignIn: a2, Assign: subnet.NewAssignment(5, n), Init: rng,
+	})
+	net := nn.NewNetwork("strided")
+	for _, l := range []nn.Layer{
+		conv1, nn.NewReLU("relu1"), conv2, nn.NewReLU("relu2"),
+		nn.NewMaxPool2D("pool2", 7, 2, 2, 2), nn.NewFlatten("flatten"), head,
+	} {
+		net.Append(l)
+		for _, p := range l.Params()[min(1, len(l.Params())):] {
+			p.Value.FillNormal(rng, 0, 0.3)
+		}
+	}
+	return &models.Model{
+		Net: net, Movable: []nn.Masked{conv1, conv2}, Head: head,
+		Name: "strided", InC: 2, InH: 12, InW: 12, Classes: 5,
+	}
+}
+
 // gridCase is one model of the plan's property grid.
 type gridCase struct {
 	name string
@@ -49,8 +87,9 @@ type gridCase struct {
 // over: the odd-shape LeNets, the assignments and masks that bend the
 // plan's bookkeeping (a rung that adds nothing to a layer, a layer
 // wholly in rung 1, pruned weights), every topology in
-// internal/models, and the networks that run through generic stages
-// (RuleShared backbones, BatchNorm).
+// internal/models, the networks that run through generic stages
+// (RuleShared backbones, BatchNorm), and the conv geometries the
+// models lack (stridedModel).
 func planGrid(seed uint64) []gridCase {
 	opts := func(n int, rule nn.MaskRule, bn bool) models.Options {
 		return models.Options{
@@ -98,6 +137,7 @@ func planGrid(seed uint64) []gridCase {
 		gridCase{"shared-backbone", spread(models.LeNet5(opts(3, nn.RuleShared, false)), 3), 3},
 		gridCase{"shared-batchnorm", spread(models.LeNet3C1L(opts(3, nn.RuleShared, true)), 3), 3},
 		gridCase{"incremental-batchnorm", spread(models.LeNet3C1L(opts(3, nn.RuleIncremental, true)), 3), 3},
+		gridCase{"strided-unpadded", spread(stridedModel(seed, 3), 3), 3},
 	)
 	return grid
 }
@@ -164,7 +204,7 @@ func TestImageShardingMatchesSerial(t *testing.T) {
 				engines := make([]*Engine, len(workerCounts))
 				for i, w := range workerCounts {
 					engines[i] = NewEngine(gc.m.Net)
-					engines[i].Workers = w
+					engines[i].Workers, engines[i].minShardMACs = w, 0 // the grid's steps are all under the fan-out floor
 					defer engines[i].Close()
 					engines[i].Reset(x)
 				}
@@ -233,7 +273,7 @@ func TestShardWorkersReleased(t *testing.T) {
 
 	cycle := func() {
 		e := NewEngine(m.Net)
-		e.Workers = 4
+		e.Workers, e.minShardMACs = 4, 0
 		e.Reset(x)
 		for s := 1; s <= 3; s++ {
 			e.MustStep(s)
@@ -253,6 +293,38 @@ func TestShardWorkersReleased(t *testing.T) {
 	}
 	if after > before {
 		t.Fatalf("shard workers leaked across Close cycles: %d goroutines before, %d after", before, after)
+	}
+}
+
+// TestSmallStepsStaySerial pins the fan-out floor: a batch whose steps
+// are smaller than the hand-off to a shard worker is walked on the
+// calling goroutine whatever Workers allows — no worker is ever
+// spawned for the benchmark's LeNet at batch 8 — while a model whose
+// steps repay the hand-off (VGG-16 at 32×32) still shards.
+func TestSmallStepsStaySerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	small := models.LeNet3C1L(models.Options{
+		Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
+		Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
+	})
+	large := models.VGG16(models.Options{
+		Classes: 5, InC: 3, InH: 32, InW: 32, Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
+	})
+	for _, tc := range []struct {
+		m      *models.Model
+		shards bool
+	}{{small, false}, {large, true}} {
+		spreadUnits(tc.m, 9, 4)
+		e := NewEngine(tc.m.Net)
+		e.Workers = 4
+		defer e.Close()
+		e.Reset(gridInput(tc.m, 8, 5))
+		for _, s := range gridWalk(4) {
+			e.MustStep(s)
+		}
+		if sharded := e.started > 0; sharded != tc.shards {
+			t.Fatalf("%s batch 8, Workers=4: sharded=%v, want %v", tc.m.Name, sharded, tc.shards)
+		}
 	}
 }
 

@@ -228,7 +228,7 @@ func TestExportRowFromBatchedWalk(t *testing.T) {
 	xb.FillNormal(tensor.NewRNG(251), 0, 1)
 
 	be := NewEngine(m.Net)
-	be.Workers = 2
+	be.Workers, be.minShardMACs = 2, 0
 	defer be.Close()
 	be.Reset(xb)
 	const k = 2

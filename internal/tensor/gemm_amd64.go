@@ -32,6 +32,9 @@ func avx2Dot2x4(a0, a1, b0, b1, b2, b3 *float64, k int, out *[8]float64)
 //go:noescape
 func avx2Dot1x4(a0, b0, b1, b2, b3 *float64, k int, out *[4]float64)
 
+//go:noescape
+func avx2RungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool)
+
 // hasAVX2FMA records the CPUID verdict for this process.
 var hasAVX2FMA = detectAVX2FMA()
 
@@ -87,6 +90,7 @@ func useAVX2Backend() {
 	gemmRowsImpl = gemmRowsAVX2
 	gemmTransARowsImpl = gemmTransARowsAVX2
 	gemmTransBRowsImpl = gemmTransBRowsAVX2
+	rungGemmImpl = avx2RungGemm
 }
 
 // gemmRowsAVX2 computes rows [i0,i1) of C (+)= A·B, vectorizing the

@@ -11,6 +11,10 @@
 //   avx2QuadAxpy1  c += a·B panel       1 C row × 4 B rows
 //   avx2Dot2x4     8 dot products       2 A rows × 4 B rows (A·Bᵀ)
 //   avx2Dot1x4     4 dot products       1 A row × 4 B rows
+//   avx2RungGemm   C = act(A·B + bias)  the inference plan's rung
+//                                       kernel, whole product per call:
+//                                       4×8 C tiles held in registers
+//                                       across the k loop
 //
 // Operand-order note: the Go assembler reverses Intel order, so
 // VFMADD231PD Y8, Y0, Y12 computes Y12 += Y0*Y8.
@@ -418,5 +422,279 @@ d14_store:
 	VMOVSD X1, 8(AX)
 	VMOVSD X2, 16(AX)
 	VMOVSD X3, 24(AX)
+	VZEROUPPER
+	RET
+
+// func avx2RungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool)
+//
+// c[i*n+j] = act(Σ_p a[i*k+p]·b[off[p]+j] + bias[i]) for i in [0,m),
+// j in [0,n); m, n ≥ 1, operands validated by RungGemm. Rows go in tiles
+// of four, columns in tiles of 8, then 4, then 1. A tile's
+// accumulators start at zero, take one FMA per p ascending, then the
+// bias (Y11-Y14, one register per tile row) and, if relu, VMAXPD
+// against Y15 = 0 as the SECOND source — so NaN and -0 come out +0 —
+// and are stored once. Every element is that same chain whatever tile
+// it falls in. A last tile of fewer than four rows points the missing
+// rows at row 0 of the tile (valid memory, same arithmetic) and skips
+// their stores: one k loop per column width serves every row count.
+//
+// SI, R10, R11, R12 = ends of the tile's four A rows and R9 = &off[k],
+// all indexed by BX running from -k up to 0; R13 = &b[j]; CX = rows in
+// the tile; DX = j; DI = &c[i*n]. a, bias and m advance in their
+// argument slots.
+TEXT ·avx2RungGemm(SB), NOSPLIT, $0-145
+	MOVQ c_base+0(FP), DI
+	MOVQ b_base+48(FP), R8
+	MOVQ off_base+72(FP), R9
+	MOVQ k+128(FP), AX
+	LEAQ (R9)(AX*8), R9
+	VXORPD Y15, Y15, Y15
+
+rg_rows:
+	MOVQ m+120(FP), CX
+	TESTQ CX, CX
+	JLE  rg_done
+	MOVQ k+128(FP), AX
+	SHLQ $3, AX
+	MOVQ a_base+24(FP), SI
+	ADDQ AX, SI
+	MOVQ SI, R10
+	MOVQ SI, R11
+	MOVQ SI, R12
+	MOVQ bias_base+96(FP), BX
+	VBROADCASTSD (BX), Y11
+	VMOVAPD Y11, Y12
+	VMOVAPD Y11, Y13
+	VMOVAPD Y11, Y14
+	CMPQ CX, $2
+	JLT  rg_cols
+	LEAQ (SI)(AX*1), R10
+	VBROADCASTSD 8(BX), Y12
+	CMPQ CX, $3
+	JLT  rg_cols
+	LEAQ (R10)(AX*1), R11
+	VBROADCASTSD 16(BX), Y13
+	CMPQ CX, $4
+	JLT  rg_cols
+	LEAQ (R11)(AX*1), R12
+	VBROADCASTSD 24(BX), Y14
+
+rg_cols:
+	XORQ DX, DX
+
+rg_col8:
+	MOVQ n+136(FP), AX
+	SUBQ DX, AX
+	CMPQ AX, $8
+	JLT  rg_col4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ (R8)(DX*8), R13
+	MOVQ k+128(FP), BX
+	NEGQ BX
+	JZ   rg_fin8
+
+rg_k8:
+	MOVQ (R9)(BX*8), AX
+	VMOVUPD (R13)(AX*8), Y8
+	VMOVUPD 32(R13)(AX*8), Y9
+	VBROADCASTSD (SI)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
+	VBROADCASTSD (R10)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y2
+	VFMADD231PD Y9, Y10, Y3
+	VBROADCASTSD (R11)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y4
+	VFMADD231PD Y9, Y10, Y5
+	VBROADCASTSD (R12)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y6
+	VFMADD231PD Y9, Y10, Y7
+	INCQ BX
+	JNZ  rg_k8
+
+rg_fin8:
+	VADDPD Y11, Y0, Y0
+	VADDPD Y11, Y1, Y1
+	VADDPD Y12, Y2, Y2
+	VADDPD Y12, Y3, Y3
+	VADDPD Y13, Y4, Y4
+	VADDPD Y13, Y5, Y5
+	VADDPD Y14, Y6, Y6
+	VADDPD Y14, Y7, Y7
+	CMPB relu+144(FP), $0
+	JEQ  rg_store8
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y1, Y1
+	VMAXPD Y15, Y2, Y2
+	VMAXPD Y15, Y3, Y3
+	VMAXPD Y15, Y4, Y4
+	VMAXPD Y15, Y5, Y5
+	VMAXPD Y15, Y6, Y6
+	VMAXPD Y15, Y7, Y7
+
+rg_store8:
+	LEAQ (DI)(DX*8), BX
+	MOVQ n+136(FP), AX
+	SHLQ $3, AX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	CMPQ CX, $2
+	JLT  rg_next8
+	ADDQ AX, BX
+	VMOVUPD Y2, (BX)
+	VMOVUPD Y3, 32(BX)
+	CMPQ CX, $3
+	JLT  rg_next8
+	ADDQ AX, BX
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y5, 32(BX)
+	CMPQ CX, $4
+	JLT  rg_next8
+	ADDQ AX, BX
+	VMOVUPD Y6, (BX)
+	VMOVUPD Y7, 32(BX)
+
+rg_next8:
+	ADDQ $8, DX
+	JMP  rg_col8
+
+rg_col4:
+	CMPQ AX, $4
+	JLT  rg_col1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	LEAQ (R8)(DX*8), R13
+	MOVQ k+128(FP), BX
+	NEGQ BX
+	JZ   rg_fin4
+
+rg_k4:
+	MOVQ (R9)(BX*8), AX
+	VMOVUPD (R13)(AX*8), Y8
+	VBROADCASTSD (SI)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y0
+	VBROADCASTSD (R10)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y2
+	VBROADCASTSD (R11)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y4
+	VBROADCASTSD (R12)(BX*8), Y10
+	VFMADD231PD Y8, Y10, Y6
+	INCQ BX
+	JNZ  rg_k4
+
+rg_fin4:
+	VADDPD Y11, Y0, Y0
+	VADDPD Y12, Y2, Y2
+	VADDPD Y13, Y4, Y4
+	VADDPD Y14, Y6, Y6
+	CMPB relu+144(FP), $0
+	JEQ  rg_store4
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y2, Y2
+	VMAXPD Y15, Y4, Y4
+	VMAXPD Y15, Y6, Y6
+
+rg_store4:
+	LEAQ (DI)(DX*8), BX
+	MOVQ n+136(FP), AX
+	SHLQ $3, AX
+	VMOVUPD Y0, (BX)
+	CMPQ CX, $2
+	JLT  rg_next4
+	ADDQ AX, BX
+	VMOVUPD Y2, (BX)
+	CMPQ CX, $3
+	JLT  rg_next4
+	ADDQ AX, BX
+	VMOVUPD Y4, (BX)
+	CMPQ CX, $4
+	JLT  rg_next4
+	ADDQ AX, BX
+	VMOVUPD Y6, (BX)
+
+rg_next4:
+	ADDQ $4, DX
+
+rg_col1:
+	CMPQ DX, n+136(FP)
+	JGE  rg_nextrows
+	VXORPD X0, X0, X0
+	VXORPD X2, X2, X2
+	VXORPD X4, X4, X4
+	VXORPD X6, X6, X6
+	LEAQ (R8)(DX*8), R13
+	MOVQ k+128(FP), BX
+	NEGQ BX
+	JZ   rg_fin1
+
+rg_k1:
+	MOVQ (R9)(BX*8), AX
+	VMOVSD (R13)(AX*8), X8
+	VMOVSD (SI)(BX*8), X10
+	VFMADD231SD X8, X10, X0
+	VMOVSD (R10)(BX*8), X10
+	VFMADD231SD X8, X10, X2
+	VMOVSD (R11)(BX*8), X10
+	VFMADD231SD X8, X10, X4
+	VMOVSD (R12)(BX*8), X10
+	VFMADD231SD X8, X10, X6
+	INCQ BX
+	JNZ  rg_k1
+
+rg_fin1:
+	VADDSD X11, X0, X0
+	VADDSD X12, X2, X2
+	VADDSD X13, X4, X4
+	VADDSD X14, X6, X6
+	CMPB relu+144(FP), $0
+	JEQ  rg_store1
+	VMAXSD X15, X0, X0
+	VMAXSD X15, X2, X2
+	VMAXSD X15, X4, X4
+	VMAXSD X15, X6, X6
+
+rg_store1:
+	LEAQ (DI)(DX*8), BX
+	MOVQ n+136(FP), AX
+	SHLQ $3, AX
+	VMOVSD X0, (BX)
+	CMPQ CX, $2
+	JLT  rg_next1
+	ADDQ AX, BX
+	VMOVSD X2, (BX)
+	CMPQ CX, $3
+	JLT  rg_next1
+	ADDQ AX, BX
+	VMOVSD X4, (BX)
+	CMPQ CX, $4
+	JLT  rg_next1
+	ADDQ AX, BX
+	VMOVSD X6, (BX)
+
+rg_next1:
+	INCQ DX
+	JMP  rg_col1
+
+rg_nextrows:
+	MOVQ k+128(FP), AX
+	SHLQ $5, AX
+	ADDQ AX, a_base+24(FP)
+	ADDQ $32, bias_base+96(FP)
+	MOVQ n+136(FP), AX
+	SHLQ $5, AX
+	ADDQ AX, DI
+	SUBQ $4, m+120(FP)
+	JMP  rg_rows
+
+rg_done:
 	VZEROUPPER
 	RET

@@ -19,10 +19,13 @@ func skipNoAVX2(t *testing.T) {
 // TestSIMDRowKernelsMatchScalar drives the three AVX2 row kernels
 // directly against their scalar references over the full shape grid,
 // in both overwrite and accumulate modes, on inputs salted with exact
-// zeros so the zero-panel skips fire. 1e-12 is the repo-wide kernel
+// zeros so the zero-panel skips fire, and the rung kernel against the
+// naive triple loop over the rung grid (its Go twin faces the same grid
+// in TestForcedScalarBackend). 1e-12 is the repo-wide kernel
 // equivalence budget.
 func TestSIMDRowKernelsMatchScalar(t *testing.T) {
 	skipNoAVX2(t)
+	checkRungGrid(t, "avx2RungGemm", avx2RungGemm)
 	r := NewRNG(71)
 	checkAllShapes(t, func(t *testing.T, m, k, n int) {
 		a := randMat(r, m, k)
@@ -97,9 +100,11 @@ func TestSIMDZeroPanelInputs(t *testing.T) {
 // compare across widths with exact equality) — so the vector body
 // and the scalar column tail of the assembly must apply the same
 // fused-FMA chain, and narrow products must not fall back to the
-// unfused scalar kernel.
+// unfused scalar kernel. The rung kernel owes the same in both
+// directions: more columns and more panel rows.
 func TestSIMDWidthInvariance(t *testing.T) {
 	skipNoAVX2(t)
+	checkRungWidthInvariance(t, "avx2RungGemm", avx2RungGemm)
 	r := NewRNG(79)
 	m, k := 7, 21
 	a := randMat(r, m, k)
@@ -138,6 +143,10 @@ func TestSIMDWidthInvariance(t *testing.T) {
 func TestBackendCrossCheck(t *testing.T) {
 	skipNoAVX2(t)
 	restoreBackend(t)
+	for _, use := range []func(){useScalarBackend, useAVX2Backend} {
+		use()
+		checkRungGrid(t, Backend()+" RungGemm", RungGemm)
+	}
 	for _, parallel := range []bool{false, true} {
 		if parallel {
 			forceParallel(t)

@@ -1,12 +1,12 @@
 package tensor
 
 // GEMM backend dispatch. The three row-range kernels behind Gemm,
-// GemmTransA and GemmTransB are selected once at startup through the
-// function variables below: the portable scalar kernels (matmul.go)
-// are the default everywhere, and on amd64 builds without the purego
-// tag an init in gemm_amd64.go swaps in AVX2+FMA assembly kernels
-// when the CPU supports them (see detectAVX2FMA) and the
-// STEPPINGNET_NOSIMD environment variable is unset. Call sites —
+// GemmTransA and GemmTransB and the kernel behind RungGemm are selected
+// once at startup through the function variables below: the portable
+// scalar kernels (matmul.go) are the default everywhere, and on amd64
+// builds without the purego tag an init in gemm_amd64.go swaps in
+// AVX2+FMA assembly kernels when the CPU supports them (see
+// detectAVX2FMA) and STEPPINGNET_NOSIMD is unset. Call sites —
 // internal/nn, internal/infer, the Tensor wrappers — are oblivious to
 // the choice, and the work-stealing row parallelism in parallel.go
 // composes identically on top of either backend because dispatch
@@ -18,13 +18,14 @@ package tensor
 // purego build tag provides at compile time.
 const NoSIMDEnv = "STEPPINGNET_NOSIMD"
 
-// The active row-range kernels. They all compute rows [i0,i1) of the
+// The active kernels. The row-range ones compute rows [i0,i1) of the
 // respective product and must be safe for concurrent invocation on
 // disjoint row ranges (parallelRows fans them out).
 var (
-	gemmRowsImpl       func(c, a, b []float64, i0, i1, k, n int, accumulate bool)    = gemmRows
-	gemmTransARowsImpl func(c, a, b []float64, i0, i1, m, k, n int, accumulate bool) = gemmTransARows
-	gemmTransBRowsImpl func(c, a, b []float64, i0, i1, k, n int, accumulate bool)    = gemmTransBRows
+	gemmRowsImpl       func(c, a, b []float64, i0, i1, k, n int, accumulate bool)                 = gemmRows
+	gemmTransARowsImpl func(c, a, b []float64, i0, i1, m, k, n int, accumulate bool)              = gemmTransARows
+	gemmTransBRowsImpl func(c, a, b []float64, i0, i1, k, n int, accumulate bool)                 = gemmTransBRows
+	rungGemmImpl       func(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool) = rungGemm
 )
 
 // backendName names the backend the impl variables currently point
@@ -45,4 +46,5 @@ func useScalarBackend() {
 	gemmRowsImpl = gemmRows
 	gemmTransARowsImpl = gemmTransARows
 	gemmTransBRowsImpl = gemmTransBRows
+	rungGemmImpl = rungGemm
 }

@@ -3,16 +3,17 @@ package tensor
 import "fmt"
 
 // This file holds the matrix-multiply substrate: three raw-slice
-// kernels (Gemm, GemmTransA, GemmTransB) and the Tensor-level
-// wrappers built on them. The kernels are register-tiled — the inner
-// loops carry four independent multiply-add chains so the compiler
-// can keep partial products in registers and the CPU can overlap the
-// FMA latency — and row-blocked: output rows are processed in small
-// blocks that a work-stealing scheduler (parallel.go) distributes
-// across GOMAXPROCS goroutines once the product is large enough to
-// amortize the fan-out (see gemmMinParFlops). Fully-zero panels of A
-// are skipped, which is the common case for the masked weight
-// matrices this reproduction multiplies by.
+// kernels (Gemm, GemmTransA, GemmTransB), the Tensor-level wrappers
+// built on them, and the inference plan's rung kernel (RungGemm). The
+// three are register-tiled — the inner loops carry four independent
+// multiply-add chains so the compiler can keep partial products in
+// registers and the CPU can overlap the FMA latency — and row-blocked:
+// output rows are processed in small blocks that a work-stealing
+// scheduler (parallel.go) distributes across GOMAXPROCS goroutines
+// once the product is large enough to amortize the fan-out (see
+// gemmMinParFlops). Fully-zero panels of A are skipped, which is the
+// common case for the masked weight matrices this reproduction
+// multiplies by.
 //
 // The row kernels defined here are the portable scalar backend; on
 // amd64 hardware with AVX2+FMA a dispatch layer swaps in assembly
@@ -118,15 +119,29 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 	gemmRowsImpl(c, a, b, 0, m, k, n, accumulate)
 }
 
-// GemmSerial is Gemm pinned to the calling goroutine: the same kernel,
-// bitwise the same result, never a fan-out. The inference plan's rung
-// panels (a handful of rows over one image) use it — at that size the
-// arena's wake-up costs more than the product, and a step's latency
-// must not depend on which helpers happen to be free.
-func GemmSerial(c, a, b []float64, m, k, n int, accumulate bool) {
-	if m > 0 && n > 0 {
-		gemmRowsImpl(c, a, b, 0, m, k, n, accumulate)
+// RungGemm is the inference plan's rung kernel: C = act(A·B + bias)
+// for a packed m×k weight panel A, where row p of B is the VIEW
+// b[off[p]:off[p]+n] — views may overlap and come in any order, which
+// is how a convolution's shifted windows share one copy of the input.
+// bias[i] is added to row i and, with relu set, negatives, -0 and NaN
+// become +0, all before the only store to C. It runs on the calling
+// goroutine: a rung's panel is smaller than the arena's wake-up.
+//
+// Rounding contract: element (i,j) is acc = a[i][p]·B[p][j] + acc over
+// p ascending from 0 (fused on avx2), + bias[i], then the activation —
+// in vector bodies and tails alike, zero weights included — so its
+// bits depend on nothing else the product holds, m and n included. A
+// slice too short for the shape, or a view that leaves b, panics before
+// any kernel runs.
+func RungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool) {
+	far := uint(0) // the farthest view; a negative offset wraps beyond any
+	for _, o := range off[:max(0, min(k, len(off)))] {
+		far = max(far, uint(o))
 	}
+	if m|k|n < 0 || len(off) < k || len(a) < m*k || len(c) < m*n || len(bias) < m || k > 0 && (len(b) < n || far > uint(len(b)-n)) {
+		panic(fmt.Sprintf("tensor: RungGemm %dx%dx%d: len(a)=%d len(c)=%d len(off)=%d len(bias)=%d, farthest view at %d of len(b)=%d", m, k, n, len(a), len(c), len(off), len(bias), int(far), len(b)))
+	}
+	rungGemmImpl(c, a, b, off[:k], bias, m, k, n, relu)
 }
 
 // GemmTransA computes C (+)= Aᵀ·B on raw slices: A is k×m, B is k×n,
@@ -162,8 +177,9 @@ func GemmTransB(c, a, b []float64, m, k, n int, accumulate bool) {
 	gemmTransBRowsImpl(c, a, b, 0, m, k, n, accumulate)
 }
 
-// GemmTransBSerial is GemmTransB pinned to the calling goroutine (see
-// GemmSerial).
+// GemmTransBSerial is GemmTransB pinned to the calling goroutine: the
+// same kernel, bitwise the same result, never a fan-out. The inference
+// plan's dense and head stages use it, for RungGemm's reason.
 func GemmTransBSerial(c, a, b []float64, m, k, n int, accumulate bool) {
 	if m > 0 && n > 0 {
 		gemmTransBRowsImpl(c, a, b, 0, m, k, n, accumulate)
@@ -447,6 +463,41 @@ func transBRow(crow, arow, b []float64, k, n int, accumulate bool) {
 			crow[j] += s
 		} else {
 			crow[j] = s
+		}
+	}
+}
+
+// rungGemm is RungGemm's portable kernel. Go does not keep a C tile in
+// registers across a k loop of scattered views (a 4-row tile measured
+// 0.4× this), so a C row accumulates in place, four contiguous B rows
+// at a time, and is finished last: the same chain per element.
+func rungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool) {
+	for i := 0; i < m; i++ {
+		crow, arow := c[i*n:(i+1)*n:(i+1)*n], a[i*k:(i+1)*k]
+		clear(crow)
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
+			b0, b1, b2, b3 := b[off[p]:][:n], b[off[p+1]:][:n], b[off[p+2]:][:n], b[off[p+3]:][:n]
+			for j, v := range crow {
+				v += a0 * b0[j]
+				v += a1 * b1[j]
+				v += a2 * b2[j]
+				v += a3 * b3[j]
+				crow[j] = v
+			}
+		}
+		for ; p < k; p++ {
+			av, bp := arow[p], b[off[p]:][:n]
+			for j := range crow {
+				crow[j] += av * bp[j]
+			}
+		}
+		for j, v := range crow {
+			if v += bias[i]; relu && !(v > 0) {
+				v = 0
+			}
+			crow[j] = v
 		}
 	}
 }
