@@ -20,9 +20,10 @@
 # zero-alloc path and on ns/op regressions beyond the ±15% noise
 # threshold — ±50% for the entries that cross the loopback — (ns/op is
 # not gated when the committed baseline came from a different GEMM
-# backend than this machine selects), and on the two relations within
-# the new file (walk ≤ 1.10 × forward at batch 1; batch-8 walk ≤ 8 ×
-# 1.05 × batch-1 walk). The committed
+# backend than this machine selects), and on the relations within the
+# new file (walk ≤ 1.10 × forward at batch 1; batch-8 walk ≤ 8 × 1.05 ×
+# batch-1 walk; request decode ≤ 0.6 × and cache key ≤ 0.05 ×
+# strconv.ParseFloat on the same 768 tokens). The committed
 # baseline is only replaced under --update-baseline — and never
 # cross-backend — so sub-threshold regressions cannot ratchet
 # silently and a scalar box cannot clobber the avx2 reference; when a
@@ -104,16 +105,24 @@ RESUME_TESTS='TestResumeMatchesColdWalk|TestExportRowFromBatchedWalk|TestCachedR
 go test -count=1 -run "$RESUME_TESTS" ./internal/infer ./internal/serve
 STEPPINGNET_NOSIMD=1 go test -count=1 -run "$RESUME_TESTS" ./internal/infer ./internal/serve
 
+echo "== input numbers against strconv (full count) =="
+# Ten million tokens, each bitwise against strconv.ParseFloat, and the
+# fallback share on the benchmark generator's form. The race passes
+# above run a twentieth of it: one goroutine, nothing for the detector.
+go test -count=1 -run 'TestInputNumbersMatchStrconv|TestBenchmarkBodiesTakeTheFastPath' ./internal/cluster
+
 echo "== fuzz smoke =="
 # Ten seconds per fuzz target on top of the committed seed corpora:
 # enough to shake out regressions in the hardened surfaces (the
 # LatencyModel deadline math, the /infer handler chain, the request
-# codec's agreement with encoding/json, the semantic cache's
-# key/churn/resume paths and the ladder state arriving over the wire)
-# without stalling the gate. A real campaign runs them longer by hand.
+# codec's agreement with encoding/json and its number reader's with
+# strconv, the semantic cache's key/churn/resume paths and the ladder
+# state arriving over the wire) without stalling the gate. A real
+# campaign runs them longer by hand.
 go test -run='^$' -fuzz=FuzzLatencyModel -fuzztime=10s ./internal/governor
 go test -run='^$' -fuzz=FuzzInferHandler -fuzztime=10s ./cmd/stepserve
 go test -run='^$' -fuzz=FuzzDecodeInferRequest -fuzztime=10s ./internal/cluster
+go test -run='^$' -fuzz=FuzzInputNumber -fuzztime=10s ./internal/cluster
 go test -run='^$' -fuzz=FuzzCacheResume -fuzztime=10s ./internal/serve/cache
 go test -run='^$' -fuzz=FuzzStateWire -fuzztime=10s ./internal/infer
 
@@ -190,9 +199,11 @@ echo "== router e2e smoke =="
     # Phase 3: sustained overload with generous deadlines — walks climb
     # the full ladder, queues build unevenly on the hot keys' HRW
     # winners, the spill demotes them and the warming loop transfers
-    # the spilled entries to the replicas that caught them.
+    # the spilled entries to the replicas that caught them. (800 rps:
+    # at 400 a 2-CPU box spills 1–3 requests of 1600, and some runs none;
+    # at 800 it spills 20–50 and still rejects nothing.)
     "$E2E_TMP/stepserve" -loadgen -targets http://127.0.0.1:18080 \
-        -rps 400 -duration 3s -deadlines 500ms:1 -repeat 0.8 | tee "$E2E_TMP/warming.out"
+        -rps 800 -duration 3s -deadlines 500ms:1 -repeat 0.8 | tee "$E2E_TMP/warming.out"
     grep -E 'warming: [1-9][0-9]* entries transferred' "$E2E_TMP/warming.out" >/dev/null ||
         { echo "router e2e: overload produced no cross-replica cache warming" >&2; exit 1; }
     kill -TERM $(jobs -p)

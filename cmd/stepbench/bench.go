@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,15 +138,16 @@ func writeBenchBaseline(path string) error {
 		b.Cleanup(ts.Close)
 		return ts
 	}
-	// postCached times b.N repeats of one body against url, each a
-	// full cache hit after the first walk.
-	postCached := func(b *testing.B, url string) {
+	// postRepeats times b.N keep-alive POSTs of one infer body to url;
+	// every answer after the first must contain want (a full cache hit,
+	// where there is a cache behind url).
+	postRepeats := func(b *testing.B, url, want string) {
 		body := newInferBody(b)
 		client := &http.Client{Transport: &http.Transport{}}
 		defer client.CloseIdleConnections()
 		var answer bytes.Buffer
 		post := func() {
-			resp, err := client.Post(url+"/infer", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -158,11 +162,12 @@ func writeBenchBaseline(path string) error {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			post()
-			if !bytes.Contains(answer.Bytes(), []byte(`"cache_hit":true`)) {
-				b.Fatalf("repeat missed the cache: %s", answer.Bytes())
+			if !bytes.Contains(answer.Bytes(), []byte(want)) {
+				b.Fatalf("answer lacks %s: %s", want, answer.Bytes())
 			}
 		}
 	}
+	const cacheHit = `"cache_hit":true`
 
 	results := make(map[string]benchResult)
 
@@ -402,12 +407,60 @@ func writeBenchBaseline(path string) error {
 		}
 	})
 
+	// The in-run reference for the codec: the same 768 tokens through
+	// strconv.ParseFloat and nothing else — no grammar check, no object
+	// around them. -compare holds wire_decode_768 under 0.6 × this and
+	// cache_keyof_768 under 0.05 ×, ratios that stay put when the host
+	// does not.
+	record(results, "wire_parsefloat_768", 0, func(b *testing.B) {
+		body := newInferBody(b)
+		tokens := strings.Split(string(body[bytes.IndexByte(body, '[')+1:bytes.IndexByte(body, ']')]), ",")
+		if len(tokens) != 3*16*16 {
+			b.Fatalf("%d input tokens in the body, want %d", len(tokens), 3*16*16)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, tok := range tokens {
+				if _, err := strconv.ParseFloat(tok, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+
+	// The cache key of one input: paid by every replica Submit and by
+	// every affinity-routed request on the router. 0 allocs/op.
+	record(results, "cache_keyof_768", 0, func(b *testing.B) {
+		in := tensor.New(3 * 16 * 16)
+		in.FillNormal(tensor.NewRNG(4), 0, 1)
+		var sink cache.Key
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink ^= cache.KeyOf(in.Data())
+		}
+		if sink == 1 { // keeps the loop's result alive
+			b.Log(sink)
+		}
+	})
+
+	// The floor under every envelope number: the same 15 KB body POSTed
+	// over the same keep-alive loopback to a handler that reads and
+	// discards it. What http_b1_cached costs above this is ours; what is
+	// below it belongs to net/http and the kernel.
+	record(results, "http_b1_empty", 0, func(b *testing.B) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body) //nolint:errcheck — a failed read shows as a failed POST
+		}))
+		defer ts.Close()
+		postRepeats(b, ts.URL, "")
+	})
+
 	// What a client pays for serve_b1_cached_resume's answer over
 	// loopback HTTP: the production handler (bounded read, codec,
 	// pooled buffers, answer encoding) around a cache hit. The delta
 	// over serve_b1_cached_resume is the envelope.
 	record(results, "http_b1_cached", 0, func(b *testing.B) {
-		postCached(b, newCachedReplica(b).URL)
+		postRepeats(b, newCachedReplica(b).URL+"/infer", cacheHit)
 	})
 
 	// The same answer through a router: the production handler over
@@ -426,7 +479,7 @@ func writeBenchBaseline(path string) error {
 		defer ro.Close()
 		router := httptest.NewServer(&cluster.InferHandler{Submit: ro.Submit})
 		defer router.Close()
-		postCached(b, router.URL)
+		postRepeats(b, router.URL+"/infer", cacheHit)
 	})
 
 	out := benchBaseline{

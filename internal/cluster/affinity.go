@@ -46,8 +46,7 @@ func replicaID(target string) uint64 {
 }
 
 // fnvOffset64 and fnvPrime64 are the standard FNV-1a 64-bit
-// parameters (mirroring internal/serve/cache, which pins KeyOf to the
-// same construction).
+// parameters.
 const (
 	fnvOffset64 = 0xcbf29ce484222325
 	fnvPrime64  = 0x100000001b3

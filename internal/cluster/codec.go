@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -18,7 +20,10 @@ import (
 // accepts for the same struct and produces bitwise the same values —
 // FuzzDecodeInferRequest pins the two together — plus one rule
 // encoding/json's streaming Decoder does not have: nothing but
-// whitespace may follow the object.
+// whitespace may follow the object. Numbers are read once: the pass
+// that checks a token's grammar gathers its digits, parseFloat rounds
+// them exactly (Eisel–Lemire) and leaves to strconv, on the same
+// token, only what it cannot decide.
 
 // jsonMaxDepth is encoding/json's nesting bound, counted in open
 // containers including the request object itself.
@@ -96,16 +101,16 @@ func (r *InferRequest) decode(b []byte, scratch []float64) (text []byte, err err
 				text = b[start:i]
 			}
 		default:
-			end := scanNumber(b, i)
-			if end < 0 {
-				return nil, codecErr(b, i, "want a number")
-			}
+			var end int
 			if field == fieldDeadline {
-				r.DeadlineMs, err = strconv.ParseFloat(string(b[i:end]), 64)
-			} else {
+				r.DeadlineMs, end, err = parseFloat(b, i)
+			} else if end = scanNumber(b, i); end >= 0 {
 				var p int64
 				p, err = strconv.ParseInt(string(b[i:end]), 10, 0)
 				r.Priority = int(p)
+			}
+			if end < 0 {
+				return nil, codecErr(b, i, "want a number")
 			}
 			if err != nil {
 				return nil, codecErr(b, i, "number does not fit its field")
@@ -163,14 +168,10 @@ func (s *floatSlots) decode(b []byte, i int) (vals []float64, pure bool, end int
 			pure = false
 			i += len(nullLit)
 		} else {
-			stop := scanNumber(b, i)
-			if stop < 0 {
+			var stop int
+			if s.buf[n], stop, err = parseFloat(b, i); stop < 0 {
 				return nil, false, i, codecErr(b, i, "input: want a number")
-			}
-			// The grammar check keeps ParseFloat's extras (hex, Inf,
-			// NaN, underscores) out; ParseFloat itself is what
-			// encoding/json converts with, so the bits agree.
-			if s.buf[n], err = strconv.ParseFloat(string(b[i:stop]), 64); err != nil {
+			} else if err != nil {
 				return nil, false, i, codecErr(b, i, "input: number out of float64 range")
 			}
 			i = stop
@@ -265,45 +266,172 @@ func skipSpace(b []byte, i int) int {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// skipDigits returns the offset past the run of digits at b[i].
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
-	}
-	return i
-}
-
 // scanNumber returns the offset past the JSON number starting at b[i],
 // or -1 when b[i:] does not start with one. What follows the token is
 // the caller's business: "01" scans as "0".
 func scanNumber(b []byte, i int) int {
+	_, _, _, end, _ := scanDecimal(b, i)
+	return end
+}
+
+// parseFloat reads the JSON number at b[i] (end is -1 when there is
+// none) as the float64 strconv.ParseFloat makes of the same token, bit
+// for bit. It rounds the token itself when it can tell which float64 is
+// nearest, and that is the correctly rounded one, which is strconv's.
+// When it cannot — more than 19 significant digits, a decimal exponent
+// outside pow10, a product too close to half-way, a subnormal or
+// out-of-range result — the token goes to strconv as it always did: the
+// one ParseFloat on the input path, kept from its extras (hex, Inf,
+// NaN, underscores) by the grammar check. err reports a number that is
+// not a finite float64.
+func parseFloat(b []byte, i int) (f float64, end int, err error) {
+	man, exp10, neg, end, exact := scanDecimal(b, i)
+	if exact {
+		f, exact = eiselLemire(man, exp10)
+	}
+	if neg {
+		f = -f
+	}
+	if end >= 0 && !exact {
+		f, err = strconv.ParseFloat(string(b[i:end]), 64)
+	}
+	return f, end, err
+}
+
+// scanDecimal is the one place the JSON number grammar lives. In the
+// pass that checks it, it gathers the token as ±man × 10^exp10; exact
+// reports that man holds every significant digit (there were at most
+// 19). end is -1 for no number.
+func scanDecimal(b []byte, i int) (man uint64, exp10 int, neg bool, end int, exact bool) {
 	if i < len(b) && b[i] == '-' {
+		neg = true
 		i++
 	}
-	end := skipDigits(b, i)
-	if end == i {
-		return -1
-	}
-	if b[i] == '0' {
-		end = i + 1
-	}
-	if i = end; i < len(b) && b[i] == '.' {
-		if end = skipDigits(b, i+1); end == i+1 {
-			return -1
+	// nd counts the digits folded into man, unchecked: beyond 19 man may
+	// have wrapped. Zeros ahead of the first non-zero digit stay out.
+	first := i
+	if i < len(b) && b[i] == '0' {
+		i++
+		first = i
+	} else {
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			man = man*10 + uint64(b[i]-'0')
 		}
-		i = end
+		if i == first {
+			return 0, 0, neg, -1, false
+		}
+	}
+	nd := i - first
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac := i
+		for ; man == 0 && i < len(b) && b[i] == '0'; i++ {
+		}
+		sig := i
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			man = man*10 + uint64(b[i]-'0')
+		}
+		if i == frac {
+			return 0, 0, neg, -1, false
+		}
+		nd, exp10 = nd+i-sig, frac-i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		eneg := i < len(b) && b[i] == '-'
+		if eneg || i < len(b) && b[i] == '+' {
 			i++
 		}
-		if end = skipDigits(b, i); end == i {
-			return -1
+		e, digits := 0, i
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 100000 { // saturates far outside the table
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		i = end
+		if i == digits {
+			return 0, 0, neg, -1, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
 	}
-	return i
+	return man, exp10, neg, i, nd <= 19
+}
+
+// pow10[e-pow10Min] is 10^e as a 128-bit mantissa with its top bit
+// set, rounded down, {low, high} words, for every power of ten that
+// takes a 64-bit mantissa into float64's normal range — the window and
+// the values of strconv's own table. 11 KB, computed exactly at
+// start-up in about 0.2 ms with nothing kept on the heap.
+const pow10Min, pow10Max = -348, 347
+
+var pow10 [pow10Max - pow10Min + 1][2]uint64
+
+func init() {
+	p, m, hi := big.NewInt(1), new(big.Int), new(big.Int)
+	set := func(e int) { // from m < 2^128
+		pow10[e-pow10Min] = [2]uint64{m.Uint64(), hi.Rsh(m, 64).Uint64()}
+	}
+	for e := 0; e <= -pow10Min; e++ { // p == 10^e, of n bits
+		n := uint(p.BitLen())
+		if e <= pow10Max {
+			m.Rsh(m.Lsh(p, 128), n)
+			set(e)
+		}
+		if e > 0 { // 2^(n-1) < 10^e < 2^n puts the quotient in (2^127, 2^128)
+			m.Quo(m.Lsh(big.NewInt(1), n+127), p)
+			set(-e)
+		}
+		p.Mul(p, big.NewInt(10))
+	}
+}
+
+// eiselLemire rounds man × 10^exp10 to the nearest float64 with one,
+// rarely two, 64×64→128 multiplies against pow10, or reports that it
+// cannot tell. It is strconv's eiselLemire64 (Go's
+// src/strconv/eisel_lemire.go explains every step), which ParseFloat
+// trusts on the same inputs.
+func eiselLemire(man uint64, exp10 int) (f float64, ok bool) {
+	if man == 0 {
+		return 0, true
+	}
+	if exp10 < pow10Min || exp10 > pow10Max {
+		return 0, false
+	}
+	pow := &pow10[exp10-pow10Min]
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	exp2 := uint64(217706*exp10>>16+64+1023) - uint64(clz) // biased; 217706/65536 ≈ log2(10)
+	hi, lo := bits.Mul64(man, pow[1])
+	if hi&0x1FF == 0x1FF && lo+man < man {
+		// The nine bits below the mantissa may still carry: bring in
+		// the table's low word.
+		yHi, yLo := bits.Mul64(man, pow[0])
+		mHi, mLo := hi, lo+yHi
+		if mLo < lo {
+			mHi++
+		}
+		if mHi&0x1FF == 0x1FF && mLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		hi, lo = mHi, mLo
+	}
+	msb := hi >> 63
+	mant := hi >> (msb + 9) // 54 bits
+	exp2 -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && mant&3 == 1 {
+		return 0, false // half-way between two floats, as far as 128 bits show
+	}
+	mant = (mant + mant&1) >> 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp2++
+	}
+	if exp2-1 >= 0x7FF-1 {
+		return 0, false // subnormal, or beyond MaxFloat64
+	}
+	return math.Float64frombits(exp2<<52 | mant&(1<<52-1)), true
 }
 
 // scanString returns the offset past the closing quote of the JSON

@@ -112,13 +112,13 @@ func codecSeeds() [][]byte {
 		`{"input":[1`, `{"input":[1,`, `{"input":[1]`, `{"input":[1],`, `{"input":[1],"`, `{"input":[1],"deadline_ms"`, `{"input":[1],"deadline_ms":`,
 		`{"input":[1],"deadline_ms":5`,
 	}
-	for _, num := range []string{
+	for _, num := range append([]string{
 		`0`, `-0`, `-0.0`, `0.0`, `5e-324`, `4.9e-324`, `2.2250738585072014e-308`, `1.7976931348623157e308`,
 		`1.7976931348623159e308`, `1e400`, `-1e400`, `1e-400`, `1E+2`, `1e+06`, `1E-2`, `1e0`, `0e0`, `0.1`, `123456789012345678901234567890`,
 		`0.1234567890123456789012345678901234567890`, `9007199254740993`, `0.30000000000000004`,
 		`01`, `00`, `-01`, `+1`, `.5`, `-.5`, `1.`, `1.e2`, `1e`, `1e+`, `-`, `--1`, `1-`, `0x1p3`, `0x10`, `NaN`, `nan`, `Infinity`,
 		`-Infinity`, `Inf`, `1_0`, `1e1_0`, `1,0`, `1 0`, `١`,
-	} {
+	}, hardNumbers...) {
 		seeds = append(seeds, `{"input":[`+num+`]}`, `{"input":[1,`+num+`,2],"deadline_ms":`+num+`}`, `{"priority":`+num+`}`)
 	}
 	out := make([][]byte, len(seeds))

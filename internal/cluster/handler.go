@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -120,8 +121,11 @@ func (h *InferHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	res, err := h.Submit(serve.Request{
 		Input:     req.Input,
 		InputJSON: text,
-		Deadline:  time.Duration(req.DeadlineMs * float64(time.Millisecond)),
-		Priority:  req.Priority,
+		// Clamped to what a Duration holds (0x1p63-1024 is the largest
+		// float64 below 2^63), here and again after a hop: 1e300 asks for
+		// forever, not for the wrapped, negative "none given".
+		Deadline: time.Duration(min(max(req.DeadlineMs*float64(time.Millisecond), math.MinInt64), 0x1p63-1024)),
+		Priority: req.Priority,
 	})
 	if err != nil {
 		http.Error(w, err.Error(), inferStatus(err))

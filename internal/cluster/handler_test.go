@@ -391,3 +391,50 @@ func TestHopForwardsInputText(t *testing.T) {
 	}
 	check("no carried text", 1.5, 3)
 }
+
+// TestHugeDeadlineSaturates pins that a deadline_ms too large for a
+// Duration means the longest deadline a float64 can name (2^63-1024 ns,
+// 292 years) — on the replica a client talks to and again on the far
+// side of a hop, where it arrives written in float milliseconds —
+// instead of wrapping into a negative one, which Submit serves under
+// the default. Zero and negative deadlines reach Submit as they always
+// did.
+func TestHugeDeadlineSaturates(t *testing.T) {
+	got := make(chan time.Duration, 1)
+	replica := httptest.NewServer(&cluster.InferHandler{Submit: func(req serve.Request) (serve.Result, error) {
+		got <- req.Deadline
+		return serve.Result{Subnet: 1, Logits: []float64{1}}, nil
+	}})
+	defer replica.Close()
+	rem := cluster.NewRemote(replica.URL)
+	defer rem.Close()
+	router := httptest.NewServer(&cluster.InferHandler{Submit: func(req serve.Request) (serve.Result, error) {
+		return rem.Submit(context.Background(), req)
+	}})
+	defer router.Close()
+
+	const forever = time.Duration(1<<63 - 1024)
+	for _, tc := range []struct {
+		ms   string
+		want time.Duration
+	}{
+		{"1e300", forever}, {"1e308", forever}, {"9.3e12", forever}, {"9223372036854.775807", forever}, {"9223372036854.777", forever},
+		{"9223372036854.773", 9223372036854773760}, {"5", 5 * time.Millisecond}, {"0.001", time.Microsecond},
+		{"0", 0}, {"-3", -3 * time.Millisecond}, {"-1e300", math.MinInt64},
+	} {
+		for _, hop := range []struct{ name, url string }{{"direct", replica.URL}, {"through a Remote", router.URL}} {
+			resp, err := http.Post(hop.url+"/infer", "application/json", bytes.NewReader([]byte(`{"input":[1],"deadline_ms":`+tc.ms+`}`)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck — drained for connection reuse
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("deadline_ms %s, %s: status %d", tc.ms, hop.name, resp.StatusCode)
+			}
+			if d := <-got; d != tc.want {
+				t.Fatalf("deadline_ms %s, %s: Submit saw %d ns (%v), want %d", tc.ms, hop.name, d, d, tc.want)
+			}
+		}
+	}
+}

@@ -1,9 +1,11 @@
 // Package cache implements the serving tier's semantic result cache:
-// a bounded, concurrency-safe map from deterministic input hashes to
-// the widest ladder rung previously reached for that input, its
-// logits, and the engine-visible per-layer state (infer.LadderState)
-// needed to RESUME the walk from that rung. The anytime property is
-// what makes the cache semantic rather than exact-match-only in value:
+// a bounded, concurrency-safe map from deterministic input hashes
+// (KeyOf, version 2: a word-at-a-time fold, the same in every process
+// of a cluster) to the widest ladder rung previously reached for that
+// input, its logits, and the engine-visible per-layer state
+// (infer.LadderState) needed to RESUME the walk from that rung. The
+// anytime property is what makes the cache semantic rather than
+// exact-match-only in value:
 // a hit whose cached rung already satisfies the request's budget is a
 // free answer, and a hit below the budget still converts the cached
 // rungs into a head start — the worker imports the state and climbs
@@ -28,6 +30,7 @@ package cache
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -35,43 +38,52 @@ import (
 )
 
 // Key is a deterministic 64-bit hash of an input vector. Equal inputs
-// hash equal across processes and runs (FNV-1a over the IEEE-754 bit
-// patterns — no per-process seed), so keys are stable enough to route
-// on in a cluster, not just to look up locally.
+// hash equal across processes and runs (a fixed function of the
+// IEEE-754 bit patterns — no per-process seed), so keys are stable
+// enough to route on in a cluster, not just to look up locally.
 type Key uint64
 
-// fnvOffset and fnvPrime are the standard FNV-1a 64-bit parameters.
+// keySeed starts the fold and keyMul steps it: the FNV-1a 64 offset
+// basis and 2^64/φ, which is odd.
 const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
+	keySeed = 0xcbf29ce484222325
+	keyMul  = 0x9e3779b97f4a7c15
 )
 
-// KeyOf hashes an input vector to its cache key: FNV-1a 64 over the
-// little-endian IEEE-754 bit pattern of each element in order. The
-// element count is folded in first, so a prefix and its extension
-// cannot collide trivially. Bitwise-equal inputs — and only the bit
-// pattern matters, so -0 and +0 differ and equal NaN payloads match —
-// always produce equal keys.
+// KeyOf hashes an input vector to its cache key (version 2): the
+// element count, then the IEEE-754 bit pattern of each element in
+// order, folded a 64-bit word per step — xor in, multiply by keyMul,
+// rotate — and finished with the splitmix64 finalizer. Every step is a
+// bijection of the state, so inputs differing in one element never
+// collide. The rotate keeps two sign flips from cancelling (an odd
+// multiplier leaves bit 63 in bit 63), and each word goes in xored with
+// its own high half, so that no single flipped input bit is a single
+// flipped state bit, which one flipped bit of the next element would
+// undo. The count goes in first, so a prefix and its extension cannot
+// collide trivially. Bitwise-equal inputs — and only the bit pattern
+// matters, so -0 and +0 differ and equal NaN payloads match — always
+// produce equal keys.
 //
 // The cluster router keys its rendezvous hashing on this same value,
 // so repeats of an input land on the replica whose cache holds the
-// walk. The construction is therefore part of the wire contract: it
-// must stay deterministic across processes and releases (the golden
-// values in cache_test.go pin it).
+// walk, and warm transfers name entries by it. The construction is
+// therefore part of the wire contract: deterministic across processes,
+// pinned by the golden values in cache_test.go, and a router and its
+// replicas must run the same version. A mixed cluster stays correct —
+// each replica keys its own cache — and only loses affinity and warm
+// transfers. (Version 1 was FNV-1a 64 over the same bytes, one at a
+// time.)
 func KeyOf(x []float64) Key {
-	h := uint64(fnvOffset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime
-			v >>= 8
-		}
-	}
-	mix(uint64(len(x)))
+	h := bits.RotateLeft64((keySeed^uint64(len(x)))*keyMul, 29)
 	for _, f := range x {
-		mix(math.Float64bits(f))
+		w := math.Float64bits(f)
+		h = bits.RotateLeft64((h^(w^w>>32))*keyMul, 29)
 	}
-	return Key(h)
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return Key(h ^ h>>31)
 }
 
 // Entry is one cached result: the widest rung a previous walk reached

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -50,12 +52,72 @@ func TestKeyDeterminism(t *testing.T) {
 	if KeyOf([]float64{nan1}) != KeyOf([]float64{math.Float64frombits(0x7ff8000000000001)}) {
 		t.Fatal("equal NaN payloads should hash equal")
 	}
-	// Pinned values: recomputing these on any platform must agree.
-	if got, want := KeyOf(nil), Key(0xa8c7f832281a39c5); got != want {
-		t.Fatalf("KeyOf(nil) = %#x, want %#x", got, want)
+	// Pinned values, KeyOf v2 (word-at-a-time fold; v1 was bytewise
+	// FNV-1a and read 0xa8c7f832281a39c5 for nil): recomputing these on
+	// any platform must agree, and a router and its replicas must.
+	for _, g := range []struct {
+		in   []float64
+		want Key
+	}{
+		{nil, 0x357cd75dbee30124},
+		{[]float64{1}, 0x80f7b6034520b3c2},
+		{x, 0xf77e082cb406cf4d},
+	} {
+		if got := KeyOf(g.in); got != g.want {
+			t.Fatalf("KeyOf(%v) = %#x, want %#x", g.in, got, g.want)
+		}
 	}
-	if got, want := KeyOf([]float64{1}), Key(0x38ebb0f14dbc2579); got != want {
-		t.Fatalf("KeyOf([1]) = %#x, want %#x", got, want)
+}
+
+// TestKeyOfV2 holds the word-at-a-time fold to what the bytewise hash
+// gave for free: the input, each of its single-bit flips and each pair
+// of sign flips among its first 64 elements all get keys of their own,
+// and a flipped bit changes about half the key. Two traps sit here. A
+// plain fold h = (h ^ w) * p keeps bit 63 in bit 63, so flipping the
+// sign of any two elements cancels: hence the rotate. And with the
+// rotate alone a sign flip is one flipped state bit, which the same
+// bit of the next element flips back: hence each word goes in xored
+// with its high half.
+func TestKeyOfV2(t *testing.T) {
+	x := make([]float64, 768)
+	r := tensor.NewRNG(7)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	base := KeyOf(x)
+	seen := map[Key]string{base: "the input itself"}
+	note := func(what string, args ...int) Key {
+		k := KeyOf(x)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("flipping %s %v collides with %s", what, args, prev)
+		}
+		seen[k] = fmt.Sprint(what, args)
+		return k
+	}
+	flip := func(i, bit int) { x[i] = math.Float64frombits(math.Float64bits(x[i]) ^ 1<<bit) }
+
+	changed := 0
+	for i := range x {
+		for bit := 0; bit < 64; bit++ {
+			flip(i, bit)
+			changed += bits.OnesCount64(uint64(note("bit", i, bit) ^ base))
+			flip(i, bit)
+		}
+	}
+	if avg := float64(changed) / float64(len(x)*64); avg < 24 || avg > 40 {
+		t.Fatalf("a flipped input bit changes %.2f output bits on average, want 32 ± 8", avg)
+	}
+	for i := 0; i < 64; i++ {
+		for j := i + 1; j < 64; j++ {
+			flip(i, 63)
+			flip(j, 63)
+			note("signs", i, j)
+			flip(i, 63)
+			flip(j, 63)
+		}
+	}
+	if KeyOf(x) != base {
+		t.Fatal("the flips were not undone")
 	}
 }
 
