@@ -3,7 +3,8 @@
 #
 #   ./ci.sh                      # vet + build + doc health + race tests (both
 #                                # backends) + fuzz smoke + chaos + serve
-#                                # smoke-run + stage profile + perf gate
+#                                # smoke-run + benchmark rehearsal + stage
+#                                # profile + perf gate
 #   ./ci.sh --quick              # skip the race detector (slow on 1-CPU boxes)
 #   ./ci.sh --update-baseline    # additionally refresh BENCH_baseline.json
 #                                # after a passing gate (combinable with --quick)
@@ -23,7 +24,9 @@
 # backend than this machine selects), and on the relations within the
 # new file (walk ≤ 1.10 × forward at batch 1; batch-8 walk ≤ 8 × 1.05 ×
 # batch-1 walk; request decode ≤ 0.6 × and cache key ≤ 0.05 ×
-# strconv.ParseFloat on the same 768 tokens). The committed
+# strconv.ParseFloat on the same 768 tokens; a recognised input text ≤
+# 0.15 × the decode; a cached hit over loopback ≤ the same POST to a
+# handler that discards it + 0.6 × the decode). The committed
 # baseline is only replaced under --update-baseline — and never
 # cross-backend — so sub-threshold regressions cannot ratchet
 # silently and a scalar box cannot clobber the avx2 reference; when a
@@ -223,6 +226,24 @@ SMOKE_FLAGS='-loadgen -rps 300 -duration 1s -workers 1 -queue 16 -batch 4 -refre
 go run ./cmd/stepserve $SMOKE_FLAGS
 echo "== serve smoke-run (scalar backend) =="
 STEPPINGNET_NOSIMD=1 go run ./cmd/stepserve $SMOKE_FLAGS
+
+echo "== benchmark rehearsal =="
+# What the driver does with a PR after the builder has left, in small:
+# the benchmark module vets and tests against this checkout's packages,
+# and every workload runs for two seconds, untraced and traced, through
+# the real processes. A non-zero exit, a failed operation or an output
+# that is not bitwise the reference walk's fails the gate here instead
+# of costing the PR (17, 19 and 21 were each lost to exactly this run).
+(cd benchmark && go vet ./... && go test ./...)
+REHEARSAL=$(mktemp)
+bash benchmark/run.sh -smoke >"$REHEARSAL" || { tail -n 40 "$REHEARSAL" >&2; rm -f "$REHEARSAL"; exit 1; }
+VERDICTS=$(grep '^outputs_ok' "$REHEARSAL" || true)
+rm -f "$REHEARSAL"
+echo "$VERDICTS"
+if [[ -z "$VERDICTS" ]] || grep -vqE '^outputs_ok true +attempted [0-9]+ +failed 0$' <<<"$VERDICTS"; then
+    echo "benchmark rehearsal: a run failed operations or its output check" >&2
+    exit 1
+fi
 
 echo "== stage profile =="
 # Where a batch-1 walk's time goes, per plan stage and rung: recorded

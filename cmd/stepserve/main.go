@@ -836,8 +836,8 @@ func serveRouter(targets []string, addr string, defaultDeadline time.Duration, h
 	<-shutdownDone
 	ro.Close()
 	st := ro.Stats()
-	log.Printf("drained; routed %d (served %d, failed %d, retries %d, hedges %d, affinity %d routed/%d spilled, warmed %d entries/%d B, %d warm failures)",
-		st.Submitted, st.Served, st.Failed, st.Retries, st.Hedges, st.AffinityRouted, st.AffinitySpilled,
+	log.Printf("drained; routed %d (%d inputs known, served %d, failed %d, retries %d, hedges %d, affinity %d routed/%d spilled, warmed %d entries/%d B, %d warm failures)",
+		st.Submitted, st.InputsKnown, st.Served, st.Failed, st.Retries, st.Hedges, st.AffinityRouted, st.AffinitySpilled,
 		st.WarmTransfers, st.WarmBytes, st.WarmFailures)
 	for _, rs := range st.Replicas {
 		log.Printf("  %s: up=%v breaker=%s success=%d rejected=%d transport=%d bad=%d retried=%d hedged=%d affinity=%d spills=%d",

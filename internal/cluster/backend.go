@@ -18,7 +18,11 @@
 // invariants: every submitted request resolves to exactly one answer
 // or one typed error, replica death leaks nothing, and killing one of
 // three replicas under overload keeps the high-priority class inside
-// its deadline budget.
+// its deadline budget. Both stepserve modes mount one POST /infer
+// handler, InferHandler; its codec recognises an input text it has
+// parsed before and submits the request keyed and unparsed
+// (serve.Request.Keyed, serve.ErrInputNeeded), so a hot repeat crosses
+// router and replica without a float being read.
 package cluster
 
 import (
@@ -85,15 +89,17 @@ type Local struct {
 	Name string
 }
 
-// Submit implements Backend by calling straight into the server. The
-// context is consulted only on entry (the in-process server bounds
-// its own work by the request deadline; there is no transport to
-// cancel mid-flight).
+// Submit implements Backend by calling straight into the server,
+// reading the input out of its text when the request came without its
+// floats and the server wants them. The context is consulted only on
+// entry (the in-process server bounds its own work by the request
+// deadline; there is no transport to cancel mid-flight).
 func (l *Local) Submit(ctx context.Context, req serve.Request) (serve.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return serve.Result{}, ctxTransportErr(err)
 	}
-	return l.Srv.Submit(req)
+	res, _, err := submitText(l.Srv.Submit, req, nil)
+	return res, err
 }
 
 // Stats implements Backend.

@@ -519,6 +519,14 @@ func TestExactlyOneAnswerUnderRandomFaults(t *testing.T) {
 	}
 
 	ro.Close()
+	// Closing the router drained every replica: each one's books must
+	// balance, answers given before the queue included.
+	for i, srv := range servers {
+		if snap := srv.Stats(); snap.Submitted != snap.Served+snap.Rejected || snap.InlineHits > snap.CacheHits {
+			t.Fatalf("replica %d: submitted %d != served %d + rejected %d, or %d of %d hits answered before the queue",
+				i, snap.Submitted, snap.Served, snap.Rejected, snap.InlineHits, snap.CacheHits)
+		}
+	}
 	waitGoroutines(t, before+4)
 }
 

@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"steppingnet/internal/serve"
+	"steppingnet/internal/serve/cache"
 )
 
 // The POST /infer request codec: one hand-written reader and one
@@ -33,8 +34,20 @@ const jsonMaxDepth = 10000
 // reader. Like encoding/json it decodes into r.Input's backing array
 // when that has room, and leaves fields the body does not name alone.
 func (r *InferRequest) UnmarshalJSON(body []byte) error {
-	_, err := r.decode(body, r.Input)
+	_, err := r.decode(body, r.Input, nil)
 	return err
+}
+
+// inputText is what decode learned about the input array besides its
+// values: text, the byte range of the body holding it, for a transport
+// to forward verbatim (see serve.Request.InputJSON; nil when there was
+// none or it held a null element, whose value is not in the text), and,
+// when keyed, the cache.KeyOf of its values — computed from them, or
+// remembered by the memo, the numbers then skipped and r.Input nil.
+type inputText struct {
+	text  []byte
+	key   cache.Key
+	keyed bool
 }
 
 // decode parses one request object out of the body b in a single pass. Keys
@@ -48,57 +61,75 @@ func (r *InferRequest) UnmarshalJSON(body []byte) error {
 // it decodes into — so handing in pooled memory as scratch[:0] leaks
 // nothing of an earlier request.
 //
-// text is the byte range of b holding the input array, for a
-// transport to forward verbatim (see serve.Request.InputJSON); nil
-// when there was none or it held a null element, whose value is not
-// in the text.
-func (r *InferRequest) decode(b []byte, scratch []float64) (text []byte, err error) {
+// With a memo, an input array whose text the memo has seen decode is
+// not read again: every byte outside it is checked as ever, r.Input is
+// left nil and in.key is the key of the values the text spells. A text
+// is remembered once every element has decoded as a number. A later
+// input key still wins; the skipped numbers are read first then, since
+// a null element of the later array keeps the earlier one's value.
+func (r *InferRequest) decode(b []byte, scratch []float64, memo *textMemo) (in inputText, err error) {
 	i := skipSpace(b, 0)
 	if bytes.HasPrefix(b[i:], nullLit) {
-		return nil, endOfBody(b, i+len(nullLit))
+		return in, endOfBody(b, i+len(nullLit))
 	}
 	if i == len(b) || b[i] != '{' {
-		return nil, codecErr(b, i, "want a JSON object")
+		return in, codecErr(b, i, "want a JSON object")
 	}
 	slots := floatSlots{buf: scratch[:cap(scratch)], live: len(scratch)}
+	skipped := -1 // where an array the memo knew starts, its numbers unread
 	i = skipSpace(b, i+1)
 	if i < len(b) && b[i] == '}' {
-		return nil, endOfBody(b, i+1)
+		return in, endOfBody(b, i+1)
 	}
 	for {
 		if i == len(b) || b[i] != '"' {
-			return nil, codecErr(b, i, "want an object key")
+			return inputText{}, codecErr(b, i, "want an object key")
 		}
 		end, ok := scanString(b, i)
 		if !ok {
-			return nil, codecErr(b, end, "bad string")
+			return inputText{}, codecErr(b, end, "bad string")
 		}
 		field := inferField(b[i+1 : end-1])
 		i = skipSpace(b, end)
 		if i == len(b) || b[i] != ':' {
-			return nil, codecErr(b, i, "want ':' after an object key")
+			return inputText{}, codecErr(b, i, "want ':' after an object key")
 		}
 		i = skipSpace(b, i+1)
 		isNull := bytes.HasPrefix(b[i:], nullLit)
+		if field == fieldInput && skipped >= 0 {
+			if _, _, _, err = slots.decode(b, skipped); err != nil {
+				return inputText{}, err
+			}
+			skipped = -1
+		}
 		switch {
 		case field == fieldUnknown:
 			if i, err = skipValue(b, i, 1); err != nil {
-				return nil, err
+				return inputText{}, err
 			}
 		case isNull && field == fieldInput:
 			// encoding/json drops the slice, backing array and all.
-			r.Input, text, slots.live = nil, nil, 0
+			r.Input, in, slots.live = nil, inputText{}, 0
 			i += len(nullLit)
 		case isNull:
 			i += len(nullLit)
 		case field == fieldInput:
 			start, pure := i, false
-			if r.Input, pure, i, err = slots.decode(b, i); err != nil {
-				return nil, err
+			mark, closer := memo.mark(b, i)
+			if in.key, in.keyed = memo.lookup(mark); in.keyed {
+				r.Input, in.text, skipped, i = nil, b[start:closer], start, closer
+				break
 			}
-			text = nil
+			if r.Input, pure, i, err = slots.decode(b, i); err != nil {
+				return inputText{}, err
+			}
+			in.text = nil
 			if pure {
-				text = b[start:i]
+				in.text = b[start:i]
+			}
+			if pure && i == closer && len(r.Input) == int(mark.count) {
+				in.key, in.keyed = cache.KeyOf(r.Input), true
+				memo.store(mark, in.key)
 			}
 		default:
 			var end int
@@ -110,10 +141,10 @@ func (r *InferRequest) decode(b []byte, scratch []float64) (text []byte, err err
 				r.Priority = int(p)
 			}
 			if end < 0 {
-				return nil, codecErr(b, i, "want a number")
+				return inputText{}, codecErr(b, i, "want a number")
 			}
 			if err != nil {
-				return nil, codecErr(b, i, "number does not fit its field")
+				return inputText{}, codecErr(b, i, "number does not fit its field")
 			}
 			i = end
 		}
@@ -123,9 +154,9 @@ func (r *InferRequest) decode(b []byte, scratch []float64) (text []byte, err err
 			continue
 		}
 		if i < len(b) && b[i] == '}' {
-			return text, endOfBody(b, i+1)
+			return in, endOfBody(b, i+1)
 		}
-		return nil, codecErr(b, i, "want ',' or '}' in the object")
+		return inputText{}, codecErr(b, i, "want ',' or '}' in the object")
 	}
 }
 

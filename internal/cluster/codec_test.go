@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"steppingnet/internal/serve"
+	"steppingnet/internal/serve/cache"
 	"steppingnet/internal/tensor"
 )
 
@@ -40,7 +41,10 @@ func referenceDecode(body []byte) (plainInferRequest, error) {
 
 // checkAgainstReference fails t unless the codec and encoding/json
 // agree on body: both reject, or both accept with bitwise-equal
-// inputs (nil-ness included) and equal deadline and priority.
+// inputs (nil-ness included) and equal deadline and priority. The body
+// then goes twice through the handler's form of the codec, the second
+// time against the memo the first pass warmed, and each pass must say
+// what the cold decode said — see checkWarm.
 func checkAgainstReference(t *testing.T, body []byte) {
 	t.Helper()
 	want, wantErr := referenceDecode(body)
@@ -49,22 +53,88 @@ func checkAgainstReference(t *testing.T, body []byte) {
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("accept/reject differs on %q:\n  codec: %v\n  encoding/json: %v", body, gotErr, wantErr)
 	}
+	memo := new(textMemo)
+	checkWarm(t, body, memo, "filling the memo", got, gotErr)
+	checkWarm(t, body, memo, "against the warm memo", got, gotErr)
 	if gotErr != nil {
 		return
 	}
-	if (got.Input == nil) != (want.Input == nil) || len(got.Input) != len(want.Input) {
+	if (got.Input == nil) != (want.Input == nil) {
 		t.Fatalf("input differs on %q: codec %v, encoding/json %v", body, got.Input, want.Input)
 	}
-	for i := range got.Input {
-		if math.Float64bits(got.Input[i]) != math.Float64bits(want.Input[i]) {
-			t.Fatalf("input[%d] differs on %q: codec %v (%#x), encoding/json %v (%#x)", i, body,
-				got.Input[i], math.Float64bits(got.Input[i]), want.Input[i], math.Float64bits(want.Input[i]))
-		}
-	}
+	sameInput(t, body, "encoding/json", got.Input, want.Input)
 	if math.Float64bits(got.DeadlineMs) != math.Float64bits(want.DeadlineMs) || got.Priority != want.Priority {
 		t.Fatalf("metadata differs on %q: codec (%v, %d), encoding/json (%v, %d)", body,
 			got.DeadlineMs, got.Priority, want.DeadlineMs, want.Priority)
 	}
+}
+
+func sameInput(t *testing.T, body []byte, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("input differs on %q: %v, %s %v", body, got, what, want)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("input[%d] differs on %q: %v (%#x), %s %v (%#x)", i, body,
+				got[i], math.Float64bits(got[i]), what, want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkWarm decodes body with memo, as the handler does, and holds the
+// result to the cold decode of the same body (cold, coldErr): the same
+// verdict, the same text range, deadline and priority; a key only for
+// an array of numbers, and then KeyOf of the cold values; and either
+// the cold values themselves or — the numbers skipped — a text that
+// submitText, asked for the input, parses to exactly them.
+func checkWarm(t *testing.T, body []byte, memo *textMemo, pass string, cold InferRequest, coldErr error) {
+	t.Helper()
+	var coldAgain InferRequest
+	coldIn, _ := coldAgain.decode(body, nil, nil)
+	var req InferRequest
+	in, err := req.decode(body, nil, memo)
+	if (err == nil) != (coldErr == nil) {
+		t.Fatalf("%s, accept/reject differs from the cold decode on %q: %v, cold %v", pass, body, err, coldErr)
+	}
+	if err != nil {
+		return
+	}
+	if (in.text == nil) != (coldIn.text == nil) || len(in.text) != len(coldIn.text) ||
+		len(in.text) > 0 && &in.text[0] != &coldIn.text[0] {
+		t.Fatalf("%s, text range differs on %q: %q, cold %q", pass, body, in.text, coldIn.text)
+	}
+	if math.Float64bits(req.DeadlineMs) != math.Float64bits(cold.DeadlineMs) || req.Priority != cold.Priority {
+		t.Fatalf("%s, metadata differs on %q: (%v, %d), cold (%v, %d)", pass, body,
+			req.DeadlineMs, req.Priority, cold.DeadlineMs, cold.Priority)
+	}
+	if in.keyed && (in.text == nil || len(cold.Input) == 0 || in.key != cache.KeyOf(cold.Input)) {
+		t.Fatalf("%s, key %#x with text %q on %q, want one only for a non-empty array of numbers and then KeyOf(%v) = %#x",
+			pass, in.key, in.text, body, cold.Input, cache.KeyOf(cold.Input))
+	}
+	if !in.keyed || req.Input != nil {
+		if (req.Input == nil) != (cold.Input == nil) {
+			t.Fatalf("%s, input differs on %q: %v, cold %v", pass, body, req.Input, cold.Input)
+		}
+		sameInput(t, body, "cold", req.Input, cold.Input)
+		return
+	}
+	var submitted []float64
+	_, parsed, err := submitText(func(r serve.Request) (serve.Result, error) {
+		if r.Input == nil {
+			return serve.Result{}, serve.ErrInputNeeded
+		}
+		if r.Keyed {
+			t.Fatalf("%s: the re-submit of %q still carries the memo's key", pass, body)
+		}
+		submitted = r.Input
+		return serve.Result{}, nil
+	}, serve.Request{InputJSON: in.text, Key: in.key, Keyed: true}, nil)
+	if err != nil {
+		t.Fatalf("%s: the text %q the memo recognised in %q does not parse: %v", pass, in.text, body, err)
+	}
+	sameInput(t, body, "cold", parsed, cold.Input)
+	sameInput(t, body, "cold", submitted, cold.Input)
 }
 
 // benchBody is a request of the benchmark's shape: n standard-normal
@@ -102,6 +172,18 @@ func codecSeeds() [][]byte {
 		`{"unknown":{"a":[1,2,{"b":null}],"c":"d"},"input":[1]}`, `{"unknown":1e400}`, `{"unknown":tru}`, `{"unknown":nul}`,
 		`{"input":[1,2,3],"deadline_ms":5,"priority":1}`,
 		`{"priority":1,"deadline_ms":5,"input":[1,2,3]}`,
+		// What the memo's skip must not change (each body is decoded
+		// again against a memo that knows its arrays): a known array then
+		// an unknown one and the reverse, nulls keeping a skipped array's
+		// values, brackets the bracket search must not mistake for the
+		// array's, a body cut right after it.
+		`{"input":[1,2,3],"input":[null,5]}`, `{"input":[null,5],"input":[1,2,3]}`, `{"input":[1,2],"input":[3,4],"input":[null]}`,
+		`{"input":[7,8],"input":null}`, `{"input":[7,8],"input":[]}`, `{"input":[7,8],"input":"x"}`,
+		`{"a":"]","input":[1,2]}`, `{"input":[1,2],"z":"]"}`, `{"a":"[1,2]","input":[1,2],"z":["]"]}`,
+		`{"input":[1,[2],3]}`, `{"input":[[1,2]]}`, `{"input":[1,2]]}`, `{"input":[1,null,3],"deadline_ms":2}`,
+		"{\"input\":[ 1 ,\t2\n,\r3 ]}", `{"deadline_ms":5,"priority":1,"input":[1,2,3]}`, `{"input":[],"deadline_ms":5}`,
+		`{"input":[1,2,3,4]}`, `{"input":[1,2,3]`, `{"input":[1,2,3]  `, `{"input":[1,2,3],`, `{"input":[1,2,3]x}`, `{"input":[1,2,3`,
+		`{"input":[1,2,3]}x`, `{"input":[1,2,3],"deadline_ms":}`,
 		` { "input" : [ 1 , 2 ] , "deadline_ms" : 5 } `, "\t\r\n{\"input\":[1]}\n", "\ufeff{}", "\v{}",
 		`{"input":[1,2,3]}garbage`, `{"input":[1]} {}`, `{"input":[1]},`, `{}{}`, `{} null`,
 		`{"deadline_ms":1e400}`, `{"deadline_ms":-1e400}`, `{"deadline_ms":1e-400}`, `{"deadline_ms":"5"}`,
@@ -161,29 +243,29 @@ func TestCodecScratchAndText(t *testing.T) {
 		stale[i] = 42
 	}
 	var req InferRequest
-	text, err := req.decode([]byte(` {"deadline_ms":3,"input": [1, 2.5 ,-3e0] ,"x":[4]} `), scratch)
+	in, err := req.decode([]byte(` {"deadline_ms":3,"input": [1, 2.5 ,-3e0] ,"x":[4]} `), scratch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(text) != `[1, 2.5 ,-3e0]` {
-		t.Fatalf("text = %q, want the input array's bytes", text)
+	if string(in.text) != `[1, 2.5 ,-3e0]` || in.keyed {
+		t.Fatalf("text = %q (keyed %v), want the input array's bytes and, without a memo, no key", in.text, in.keyed)
 	}
 	if len(req.Input) != 3 || &req.Input[0] != &stale[0] {
 		t.Fatalf("input %v did not land in the caller's scratch", req.Input)
 	}
 
 	req = InferRequest{}
-	if text, err = req.decode([]byte(`{"deadline_ms":3}`), scratch); err != nil || req.Input != nil || text != nil {
-		t.Fatalf("absent input: got input %v text %q err %v, want nil nil nil", req.Input, text, err)
+	if in, err = req.decode([]byte(`{"deadline_ms":3}`), scratch, nil); err != nil || req.Input != nil || in.text != nil {
+		t.Fatalf("absent input: got input %v text %q err %v, want nil nil nil", req.Input, in.text, err)
 	}
 	for i := range stale {
 		stale[i] = 42
 	}
-	if text, err = req.decode([]byte(`{"input":[null,7,null]}`), scratch); err != nil {
+	if in, err = req.decode([]byte(`{"input":[null,7,null]}`), scratch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if text != nil {
-		t.Fatalf("text %q offered for an array whose nulls it does not spell out", text)
+	if in.text != nil {
+		t.Fatalf("text %q offered for an array whose nulls it does not spell out", in.text)
 	}
 	if want := []float64{0, 7, 0}; len(req.Input) != 3 || req.Input[0] != want[0] || req.Input[1] != want[1] || req.Input[2] != want[2] {
 		t.Fatalf("null elements read stale scratch: got %v, want %v", req.Input, want)
@@ -192,7 +274,7 @@ func TestCodecScratchAndText(t *testing.T) {
 	// More numbers than scratch holds: grown, values intact.
 	body, want := benchBody(100)
 	req = InferRequest{}
-	if _, err = req.decode(body, scratch); err != nil {
+	if _, err = req.decode(body, scratch, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range want {
@@ -254,7 +336,8 @@ func TestAppendInferRequest(t *testing.T) {
 // FuzzDecodeInferRequest is the codec's contract: for any byte string
 // it and encoding/json (same struct tags, then the no-trailing-data
 // rule) agree on accept or reject, and on accept the inputs are
-// bitwise equal and deadline and priority equal.
+// bitwise equal and deadline and priority equal — whether the numbers
+// were read or, their text known to a memo, skipped.
 func FuzzDecodeInferRequest(f *testing.F) {
 	for _, s := range codecSeeds() {
 		f.Add(s)

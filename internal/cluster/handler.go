@@ -48,6 +48,46 @@ type InferHandler struct {
 	// or retry may still be sending the bytes after the winner's answer
 	// has come back, so a router leaves its buffers to the GC.
 	Recycle bool
+
+	// memo recognises input texts this handler has parsed before.
+	memo textMemo
+}
+
+// DecodeRequest reads one POST /infer body into the request Submit
+// gets, as ServeHTTP does: the input numbers land in scratch's backing
+// array (grown when short) — unless the handler has parsed the same
+// array text before, when Input stays nil beside the text and the key
+// of the numbers it spells (see serve.Request.Keyed).
+func (h *InferHandler) DecodeRequest(body []byte, scratch []float64) (serve.Request, error) {
+	var req InferRequest
+	in, err := req.decode(body, scratch, &h.memo)
+	return serve.Request{
+		Input: req.Input, InputJSON: in.text, Key: in.key, Keyed: in.keyed,
+		// Clamped to what a Duration holds (0x1p63-1024 is the largest
+		// float64 below 2^63), here and again after a hop: 1e300 asks for
+		// forever, not for the wrapped, negative "none given".
+		Deadline: time.Duration(min(max(req.DeadlineMs*float64(time.Millisecond), math.MinInt64), 0x1p63-1024)),
+		Priority: req.Priority,
+	}, err
+}
+
+// submitText submits req and, when the server asks for the floats a
+// recognised text left unread, reads them out of the text into scratch
+// and submits again — without the key: what a walk stores, it stores
+// under the key of the floats it walked, so a text forged to match
+// another's mark misleads only its own request. input is the floats the
+// request ended with, if any.
+func submitText(submit func(serve.Request) (serve.Result, error), req serve.Request, scratch []float64) (res serve.Result, input []float64, err error) {
+	if res, err = submit(req); err != serve.ErrInputNeeded {
+		return res, req.Input, err
+	}
+	slots := floatSlots{buf: scratch[:cap(scratch)]}
+	if req.Input, _, _, err = slots.decode(req.InputJSON, 0); err != nil {
+		return serve.Result{}, nil, fmt.Errorf("%w: %v", serve.ErrBadInput, err)
+	}
+	req.Keyed = false
+	res, err = submit(req)
+	return res, req.Input, err
 }
 
 // inferBufs are one request's read buffers: the raw body and the
@@ -100,14 +140,10 @@ func (h *InferHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	var req InferRequest
-	text, err := req.decode(bufs.body.Bytes(), bufs.input[:0])
+	req, err := h.DecodeRequest(bufs.body.Bytes(), bufs.input[:0])
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	if cap(req.Input) > cap(bufs.input) {
-		bufs.input = req.Input
 	}
 	if hdr := r.Header.Get(PriorityHeader); hdr != "" && req.Priority == 0 {
 		if req.Priority, err = strconv.Atoi(hdr); err != nil {
@@ -115,18 +151,13 @@ func (h *InferHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Input == nil && h.Fallback != nil {
+	if req.Input == nil && !req.Keyed && h.Fallback != nil {
 		req.Input = h.Fallback(n)
 	}
-	res, err := h.Submit(serve.Request{
-		Input:     req.Input,
-		InputJSON: text,
-		// Clamped to what a Duration holds (0x1p63-1024 is the largest
-		// float64 below 2^63), here and again after a hop: 1e300 asks for
-		// forever, not for the wrapped, negative "none given".
-		Deadline: time.Duration(min(max(req.DeadlineMs*float64(time.Millisecond), math.MinInt64), 0x1p63-1024)),
-		Priority: req.Priority,
-	})
+	res, input, err := submitText(h.Submit, req, bufs.input[:0])
+	if cap(input) > cap(bufs.input) {
+		bufs.input = input
+	}
 	if err != nil {
 		http.Error(w, err.Error(), inferStatus(err))
 		return

@@ -381,6 +381,7 @@ type Router struct {
 	hedges          atomic.Int64
 	affinityRouted  atomic.Int64 // first attempts that landed on their key's HRW choice
 	affinitySpilled atomic.Int64 // first attempts diverted by the bounded-load spill
+	inputsKnown     atomic.Int64 // submits that came keyed and without their floats
 
 	// Warming state (RouterConfig.Warm): the spill-fed task queue and
 	// the transfer outcome counters.
@@ -640,9 +641,14 @@ type attemptResult struct {
 }
 
 // dispatch runs one attempt against a replica, updating its breaker
-// and counters. The context deadline is the request deadline plus
-// AttemptGrace (see RouterConfig.AttemptGrace).
+// and counters. The attempt is handed what is left of the request's
+// deadline (floored at 1 ns: zero asks for the replica's default), not
+// the original — a retry told it had the whole budget again would be
+// answered, and reported in time, against a clock the client never had.
+// The context deadline is the request deadline plus AttemptGrace (see
+// RouterConfig.AttemptGrace).
 func (ro *Router) dispatch(r *replica, req serve.Request, absDeadline time.Time, isRetry, isHedge bool) attemptResult {
+	req.Deadline = max(time.Until(absDeadline), 1)
 	r.dispatches.Add(1)
 	if isRetry {
 		r.retried.Add(1)
@@ -720,6 +726,9 @@ func (ro *Router) observeLatency(class int, d time.Duration) {
 // failures) or ErrNoReplicas when nothing could take the request.
 func (ro *Router) Submit(req serve.Request) (serve.Result, error) {
 	ro.submitted.Add(1)
+	if req.Input == nil && req.Keyed {
+		ro.inputsKnown.Add(1)
+	}
 	d := req.Deadline
 	if d <= 0 {
 		d = ro.cfg.DefaultDeadline
@@ -731,12 +740,12 @@ func (ro *Router) Submit(req serve.Request) (serve.Result, error) {
 	// The affinity key is computed once per request, not per attempt:
 	// retries and hedges keep preferring the same HRW order, so a
 	// resumed rung is still likely warm wherever the request ends up.
-	var key uint64
-	hasKey := false
-	if ro.cfg.Affinity && len(req.Input) > 0 {
-		key = uint64(cache.KeyOf(req.Input))
-		hasKey = true
+	// A request that arrives keyed is not hashed again, here or in a
+	// Local backend's server.
+	if ro.cfg.Affinity && !req.Keyed && len(req.Input) > 0 {
+		req.Key, req.Keyed = cache.KeyOf(req.Input), true
 	}
+	key, hasKey := uint64(req.Key), ro.cfg.Affinity && req.Keyed
 
 	var (
 		tried   []*replica
@@ -900,6 +909,9 @@ type ReplicaStats struct {
 	// CacheHits is the replica's cumulative semantic-cache full hits
 	// at its last successful probe (0 when the cache is off).
 	CacheHits int64 `json:"cache_hits"`
+	// InlineHits is how many of CacheHits the replica had answered
+	// before its queue, at its last successful probe.
+	InlineHits int64 `json:"inline_hits"`
 	// CacheResumes is the replica's cumulative cache-seeded resumed
 	// walks at its last successful probe.
 	CacheResumes int64 `json:"cache_resumes"`
@@ -929,6 +941,9 @@ type RouterStats struct {
 	Retries int64 `json:"retries"`
 	// Hedges counts tail-hedge attempts launched.
 	Hedges int64 `json:"hedges"`
+	// InputsKnown counts Submits that came keyed and without their
+	// floats: recognised by the caller, forwarded unparsed.
+	InputsKnown int64 `json:"inputs_known"`
 	// AffinityRouted counts first attempts that landed on their key's
 	// rendezvous-hash choice (0 unless Affinity is on).
 	AffinityRouted int64 `json:"affinity_routed"`
@@ -957,6 +972,7 @@ func (ro *Router) Stats() RouterStats {
 		Failed:          ro.failed.Load(),
 		Retries:         ro.retries.Load(),
 		Hedges:          ro.hedges.Load(),
+		InputsKnown:     ro.inputsKnown.Load(),
 		AffinityRouted:  ro.affinityRouted.Load(),
 		AffinitySpilled: ro.affinitySpilled.Load(),
 		WarmTransfers:   ro.warmTransfers.Load(),
@@ -998,6 +1014,7 @@ func (ro *Router) Stats() RouterStats {
 			rs.SLOViolations = snap.SLOViolations
 			rs.BrownoutTransitions = snap.BrownoutTransitions
 			rs.CacheHits = snap.CacheHits
+			rs.InlineHits = snap.InlineHits
 			rs.CacheResumes = snap.CacheResumes
 			rs.CacheWarmed = snap.CacheWarmed
 			rs.EarlyExits = snap.EarlyExits

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,9 @@ type fakeBackend struct {
 	submitDelay time.Duration
 	snap        serve.Snapshot
 
-	submits atomic.Int64
-	closed  atomic.Bool
+	submits  atomic.Int64
+	deadline atomic.Int64 // the last request's Deadline, as dispatched
+	closed   atomic.Bool
 }
 
 func (f *fakeBackend) setHealth(err error)      { f.mu.Lock(); f.healthErr = err; f.mu.Unlock() }
@@ -37,6 +39,7 @@ func (f *fakeBackend) setDelay(d time.Duration) { f.mu.Lock(); f.submitDelay = d
 
 func (f *fakeBackend) Submit(_ context.Context, req serve.Request) (serve.Result, error) {
 	f.submits.Add(1)
+	f.deadline.Store(int64(req.Deadline))
 	f.mu.Lock()
 	d, err := f.submitDelay, f.submitErr
 	f.mu.Unlock()
@@ -166,6 +169,56 @@ func TestRetryDeadlineAware(t *testing.T) {
 	st := ro.Stats()
 	if st.Replicas[0].TransportErrors != 2 || st.Replicas[1].Success != 1 {
 		t.Fatalf("stats mismatch: %+v", st.Replicas)
+	}
+}
+
+// TestRetryForwardsRemainingBudget pins what a second attempt is told
+// about the deadline: what is left of it. Replica A sits on the request
+// for a while and fails; the retry on B must be handed strictly less
+// than the client's budget — less by at least A's delay — and, with the
+// budget all but gone, still something positive (zero would mean "the
+// replica's default"). Through a Remote the same holds for the
+// deadline_ms the far side decodes.
+func TestRetryForwardsRemainingBudget(t *testing.T) {
+	const budget, stall = 2 * time.Second, 20 * time.Millisecond
+	a := &fakeBackend{name: "a"}
+	a.setSubmitErr(fmt.Errorf("%w: synthetic", ErrTransport))
+	a.setDelay(stall)
+	b := &fakeBackend{name: "b"}
+	ro := newTestRouter(t, RouterConfig{}, a, b)
+	ro.replicas[0].storeSnap(snap(0, 0.001)) // first attempts land on A
+	ro.replicas[1].storeSnap(snap(10, 0.001))
+	if _, err := ro.Submit(serve.Request{Deadline: budget}); err != nil {
+		t.Fatal(err)
+	}
+	first, second := time.Duration(a.deadline.Load()), time.Duration(b.deadline.Load())
+	if first <= 0 || first > budget || second <= 0 || second > first-stall {
+		t.Fatalf("attempts were handed %v then %v of a %v budget with a %v stall between them", first, second, budget, stall)
+	}
+
+	// The replica end of a Remote: a handler whose Submit notes the
+	// deadline it decoded.
+	var seen atomic.Int64
+	replica := httptest.NewServer(&InferHandler{Submit: func(req serve.Request) (serve.Result, error) {
+		seen.Store(int64(req.Deadline))
+		return serve.Result{Subnet: 1, Logits: []float64{1}}, nil
+	}})
+	defer replica.Close()
+	ro = newTestRouter(t, RouterConfig{Backends: []Backend{a, NewRemote(replica.URL)}})
+	ro.replicas[0].storeSnap(snap(0, 0.001))
+	ro.replicas[1].storeSnap(snap(10, 0.001))
+	if _, err := ro.Submit(serve.Request{Input: []float64{1}, Deadline: budget}); err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Duration(seen.Load()); got <= 0 || got > budget-stall {
+		t.Fatalf("the replica behind the Remote decoded a %v deadline on the retry of a %v request stalled %v", got, budget, stall)
+	}
+
+	// Nothing left: the attempt still carries a positive deadline.
+	past := time.Now().Add(-time.Second)
+	ro.dispatch(ro.replicas[0], serve.Request{Deadline: budget}, past, false, false)
+	if got := time.Duration(a.deadline.Load()); got != 1 {
+		t.Fatalf("an attempt past its deadline was handed %v, want the smallest positive duration", got)
 	}
 }
 

@@ -28,7 +28,8 @@ import (
 //     or a typed error (ErrClosed / ErrOverloaded) — nothing hangs,
 //     nothing is answered twice;
 //   - at quiescence Submitted = Served + Rejected, globally and per
-//     class (post-Close submits count as neither);
+//     class (post-Close submits count as neither), top-rung hits
+//     answered by Submit itself included;
 //   - the per-subnet histograms reconcile with the served counts;
 //   - no goroutine survives Close (workers, former, refresh loop and
 //     every engine are all released, exactly once; a double engine
@@ -181,6 +182,9 @@ func TestChaosRandomizedLifecycles(t *testing.T) {
 			}
 			if snap.CacheEnabled && snap.CacheEntries > cfg.CacheEntries {
 				t.Fatalf("cache holds %d entries, bound %d", snap.CacheEntries, cfg.CacheEntries)
+			}
+			if snap.InlineHits > snap.CacheHits {
+				t.Fatalf("%d hits answered before the queue out of %d hits", snap.InlineHits, snap.CacheHits)
 			}
 			if cfg.ExitMargin == 0 && snap.EarlyExits != 0 {
 				t.Fatalf("exit-off server reported %d early exits", snap.EarlyExits)

@@ -420,8 +420,9 @@ func TestChaosCacheStaleness(t *testing.T) {
 		t.Fatalf("attribution exceeds evictions: %+v", cs.Counters)
 	}
 	snap := sv.Stats()
-	if snap.Submitted != snap.Served+snap.Rejected {
-		t.Fatalf("invariant broken: submitted %d != served %d + rejected %d",
-			snap.Submitted, snap.Served, snap.Rejected)
+	if snap.Submitted != snap.Served+snap.Rejected || snap.InlineHits > snap.CacheHits {
+		t.Fatalf("invariant broken: submitted %d != served %d + rejected %d, or %d of %d hits answered before the queue",
+			snap.Submitted, snap.Served, snap.Rejected, snap.InlineHits, snap.CacheHits)
 	}
+	t.Logf("%d served, %d cache hits, %d of them before the queue", snap.Served, snap.CacheHits, snap.InlineHits)
 }

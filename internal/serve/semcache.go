@@ -8,7 +8,6 @@ import (
 	"steppingnet/internal/governor"
 	"steppingnet/internal/infer"
 	"steppingnet/internal/models"
-	"steppingnet/internal/serve/cache"
 	"steppingnet/internal/tensor"
 )
 
@@ -18,11 +17,12 @@ import (
 // answers are narrowed.
 const exitRelaxSteps = 2
 
-// serveCacheHits runs the semantic-cache lookup for a popped batch:
-// every request gets its input hash; requests whose cached rung
-// already covers their ladder cap are answered immediately from the
-// cache (zero MACs — a cached rung is free even when it is WIDER than
-// the shed cap, since shed caps exist to save compute) and removed.
+// serveCacheHits runs the semantic-cache lookup for a popped batch —
+// for what Submit's own could not decide: an entry below the top rung,
+// or one published since. Requests whose cached rung already covers
+// their ladder cap are answered immediately from the cache (zero MACs
+// — a cached rung is free even when it is WIDER than the shed cap,
+// since shed caps exist to save compute) and removed.
 // The survivors, returned in order, carry their lookup result in
 // p.ent for the batch-1 resume path and the post-walk insert. Callers
 // own the batch slice; the filter compacts it in place.
@@ -37,8 +37,6 @@ func (s *Server) serveCacheHits(batch []*pending, started time.Time) []*pending 
 	keep := batch[:0]
 	for _, p := range batch {
 		p.started = started
-		p.key = cache.KeyOf(p.input)
-		p.hasKey = true
 		if ent, ok := s.cache.Lookup(p.key); ok {
 			p.ent = ent
 			// A hot key still below the top rung is speculation fuel:

@@ -14,7 +14,10 @@
 // classes configured, low-priority traffic narrows and sheds first,
 // protecting high-priority deadlines. Every answer reports which
 // subnet produced it, the MACs actually spent, and whether the
-// deadline was met.
+// deadline was met. A repeat whose walk the semantic cache holds at the
+// top rung never meets the queue — Submit answers it — and a caller
+// that knows the input's key (Request.Keyed) need not bring the floats:
+// ErrInputNeeded asks for them when the cache cannot answer.
 package serve
 
 import (
@@ -50,6 +53,12 @@ var ErrOverloaded = errors.New("serve: overloaded")
 // ErrBadInput is returned (wrapped) by Submit when the request input
 // does not match the model's input geometry.
 var ErrBadInput = errors.New("serve: bad input")
+
+// ErrInputNeeded is returned, bare and before any counter moves, by
+// Submit for a request that left its floats in its text (see
+// Request.Keyed) when the cache does not hold its answer at the top
+// rung: the caller parses InputJSON into Input and submits again.
+var ErrInputNeeded = errors.New("serve: input needed")
 
 // Config parameterizes a Server.
 type Config struct {
@@ -283,9 +292,18 @@ type Request struct {
 	Input []float64
 	// InputJSON is the JSON array text Input was decoded from, when the
 	// request arrived as one. Transports may forward it verbatim
-	// instead of formatting Input again; Server ignores it. Like Input
-	// it must not be mutated until Submit returns.
+	// instead of formatting Input again. Like Input it must not be
+	// mutated until Submit returns.
 	InputJSON []byte
+	// Key is cache.KeyOf(Input) when Keyed is set.
+	Key cache.Key
+	// Keyed reports that the caller has hashed the input, or recognised
+	// its text, and Submit and Router.Submit are to use Key instead of
+	// hashing again: answers are read and stored under it. A keyed
+	// request with InputJSON may leave Input nil — a repeat answered
+	// from the top rung of the cache needs no floats — and gets
+	// ErrInputNeeded when it does need them.
+	Keyed bool
 	// Deadline is the wall-clock budget measured from submission
 	// (queue wait counts against it). 0 selects
 	// Config.DefaultDeadline.
@@ -373,7 +391,6 @@ type pending struct {
 	// request's input hash, the cache entry found at lookup (nil on a
 	// miss), and the answer provenance flags copied into the Result.
 	key       cache.Key
-	hasKey    bool
 	ent       *cache.Entry
 	cacheHit  bool
 	resumed   bool
@@ -432,11 +449,15 @@ type Server struct {
 	// same lock it checks the queue under, and adding one signals
 	// qcond so an idle former wakes. speculated/specMACs meter the
 	// pre-climbed steps separately from request traffic; warmed counts
-	// cache entries installed by a peer-transfer (WarmInstall).
-	specRing   []specCand
-	speculated atomic.Int64
-	specMACs   atomic.Int64
-	warmed     atomic.Int64
+	// cache entries installed by a peer-transfer (WarmInstall);
+	// inlineHits counts the cache hits Submit answered itself, and
+	// inputsKnown those of them that came without their floats.
+	specRing    []specCand
+	speculated  atomic.Int64
+	specMACs    atomic.Int64
+	warmed      atomic.Int64
+	inlineHits  atomic.Int64
+	inputsKnown atomic.Int64
 
 	// The priority admission queue: one FIFO lane per class, guarded
 	// by qmu. qcond signals the batch former on arrivals and close.
@@ -606,6 +627,8 @@ func (s *Server) Stats() Snapshot {
 	snap.Speculated = s.speculated.Load()
 	snap.SpeculativeMACs = s.specMACs.Load()
 	snap.CacheWarmed = s.warmed.Load()
+	snap.InlineHits = s.inlineHits.Load()
+	snap.InputsKnown = s.inputsKnown.Load()
 	lat := s.lat.Load()
 	snap.MACRate = lat.MACRate()
 	snap.StepTimeMs = make([]float64, s.n)
@@ -637,13 +660,15 @@ func (s *Server) Stats() Snapshot {
 
 // Submit runs one request through the service and blocks until its
 // answer is ready (bounded by deadline handling: under pressure the
-// answer comes back early from a narrower subnet). It returns
-// ErrClosed after Close, ErrOverloaded (wrapped) when the request's
-// class has filled its queue share or the deadline is unmeetable at
-// the measured backlog, and a wrapped ErrBadInput for geometry
-// mismatches.
+// answer comes back early from a narrower subnet; a repeat the cache
+// holds at the top rung is answered at once, whatever the queue holds).
+// It returns ErrClosed after Close, ErrOverloaded (wrapped) when the
+// request's class has filled its queue share or the deadline is
+// unmeetable at the measured backlog, a wrapped ErrBadInput for
+// geometry mismatches, and ErrInputNeeded as documented there.
 func (s *Server) Submit(req Request) (Result, error) {
-	if len(req.Input) != s.imgLen {
+	textOnly := req.Input == nil && req.Keyed && req.InputJSON != nil
+	if !textOnly && len(req.Input) != s.imgLen {
 		return Result{}, fmt.Errorf("%w: input length %d, model wants %d (%d×%d×%d)",
 			ErrBadInput, len(req.Input), s.imgLen, s.inC, s.inH, s.inW)
 	}
@@ -659,12 +684,39 @@ func (s *Server) Submit(req Request) (Result, error) {
 		class = s.priorities - 1
 	}
 	now := time.Now()
+	key := req.Key
+	if s.cache != nil {
+		if !req.Keyed {
+			key = cache.KeyOf(req.Input)
+		}
+		// A live entry at the top rung is answered here, on the caller's
+		// goroutine: no shed cap is narrower than a free answer, so queue,
+		// admission and workers have nothing to decide. A miss, a stale
+		// entry or one below the top queues and meets the worker's lookup.
+		if ent, ok := s.cache.Lookup(key); ok && ent.Subnet >= s.n {
+			if !s.Healthy() {
+				return Result{}, ErrClosed
+			}
+			s.cache.Touch(key)
+			s.inlineHits.Add(1)
+			if textOnly {
+				s.inputsKnown.Add(1)
+			}
+			s.stats.recordSubmitted(class)
+			hit := pending{class: class, submitted: now, started: now, deadline: now.Add(d), cacheHit: true}
+			return s.result(&hit, append([]float64(nil), ent.Logits...), ent.Subnet), nil
+		}
+	}
+	if textOnly {
+		return Result{}, ErrInputNeeded
+	}
 	p := &pending{
 		input:     req.Input,
 		class:     class,
 		submitted: now,
 		deadline:  now.Add(d),
 		done:      make(chan response, 1),
+		key:       key,
 	}
 	minWalk := s.lat.Load().WalkTime(s.cfg.MinSubnet)
 	pol := s.policy.Load()
@@ -1134,9 +1186,6 @@ func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []
 	// live entry's rung are dropped inside Put.
 	if s.cache != nil && cur >= 1 {
 		for i, p := range batch {
-			if !p.hasKey {
-				continue
-			}
 			if p.ent != nil && p.ent.Subnet >= cur {
 				// Nothing wider to publish, but the request did reach a
 				// walk: this is the point the deferred recency refresh
@@ -1185,9 +1234,15 @@ func (s *Server) finish(p *pending, out *tensor.Tensor, i, subnet int) {
 }
 
 // answer delivers logits (ownership transfers to the caller of
-// Submit) as p's result at the given subnet, stamping the timing and
-// provenance metadata.
+// Submit) as p's result at the given subnet.
 func (s *Server) answer(p *pending, logits []float64, subnet int) {
+	p.answered = true
+	p.done <- response{res: s.result(p, logits, subnet)}
+}
+
+// result builds and records p's answer at the given subnet, stamping
+// the timing and provenance metadata.
+func (s *Server) result(p *pending, logits []float64, subnet int) Result {
 	pred := 0
 	for j, v := range logits {
 		if v > logits[pred] {
@@ -1208,9 +1263,8 @@ func (s *Server) answer(p *pending, logits []float64, subnet int) {
 		Resumed:     p.resumed,
 		EarlyExit:   p.earlyExit,
 	}
-	p.answered = true
 	s.stats.recordServed(res)
-	p.done <- response{res: res}
+	return res
 }
 
 // failBatch answers every still-pending request with err (engine

@@ -76,7 +76,7 @@ func (s *Server) popSpeculativeLocked() *pending {
 	s.specRing[hot] = s.specRing[last]
 	s.specRing[last] = specCand{}
 	s.specRing = s.specRing[:last]
-	return &pending{input: cand.input, key: cand.key, hasKey: true, speculative: true}
+	return &pending{input: cand.input, key: cand.key, speculative: true}
 }
 
 // runSpeculative executes one speculative pre-climb: seed the engine

@@ -288,6 +288,12 @@ type Snapshot struct {
 	// CacheHits totals the answers served entirely from the semantic
 	// result cache.
 	CacheHits int64 `json:"cache_hits"`
+	// InlineHits counts the CacheHits answered before the queue: a
+	// live top-rung entry found by Submit, on the caller's goroutine.
+	InlineHits int64 `json:"inline_hits"`
+	// InputsKnown counts the InlineHits whose request came keyed, with
+	// its input text and without its floats: recognised, never parsed.
+	InputsKnown int64 `json:"inputs_known"`
 	// CacheResumes totals the walks seeded from a cached rung.
 	CacheResumes int64 `json:"cache_resumes"`
 	// EarlyExits totals the confidence early-exit answers.
