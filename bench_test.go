@@ -21,8 +21,8 @@ import (
 
 // The per-table/figure benchmarks run the same harness as cmd/
 // stepbench at the Tiny scale, so `go test -bench=.` regenerates
-// every experiment quickly; use `stepbench -scale full` for the
-// numbers recorded in EXPERIMENTS.md.
+// every experiment quickly; use `stepbench -exp all -scale full` for
+// the full-scale numbers.
 
 // BenchmarkTableI regenerates Table I (per-subnet accuracy and MAC
 // share for LeNet-3C1L, LeNet-5 and VGG-16).

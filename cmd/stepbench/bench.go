@@ -359,57 +359,6 @@ func writeBenchBaseline(path string) error {
 		}
 	})
 
-	// Speculated-hit serving latency: steady state after the
-	// idle-window pre-climber finished a hot key's climb. Setup walks
-	// the key to rung 1 under an expired deadline, lets a repeat feed
-	// the speculation ring, then waits for the speculator to climb the
-	// entry to the top rung. Every timed iteration is then a full
-	// cache hit with speculation armed — this pins that the
-	// speculative machinery (ring feed, idle-pop gating) adds nothing
-	// to the hit path versus serve_b1_cached_resume.
-	record(results, "serve_b1_speculated_hit", 0, func(b *testing.B) {
-		m := newServeModel()
-		srv, err := serve.New(serve.Config{
-			Model: m, Subnets: 4, Workers: 1, CacheEntries: 16,
-			Speculate:       true,
-			DefaultDeadline: time.Second, CalibrationReps: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		in := tensor.New(3 * 16 * 16)
-		in.FillNormal(tensor.NewRNG(4), 0, 1)
-		// Two expired-deadline submits: the first walks to the narrow
-		// floor and stores the rung-1 entry, the second hits it while
-		// still sub-top, feeding the speculation candidate ring.
-		for i := 0; i < 2; i++ {
-			if _, err := srv.Submit(serve.Request{Input: in.Data(), Deadline: time.Nanosecond}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		key := cache.KeyOf(in.Data())
-		for deadline := time.Now().Add(5 * time.Second); ; {
-			if ent, ok := srv.CachePeek(key); ok && ent.Subnet == 4 {
-				break
-			}
-			if time.Now().After(deadline) {
-				b.Fatal("speculator did not finish the climb within 5s")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := srv.Submit(serve.Request{Input: in.Data()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.CacheHit || res.Subnet != 4 {
-				b.Fatalf("repeat after speculation: hit=%v subnet=%d, want a top-rung hit", res.CacheHit, res.Subnet)
-			}
-		}
-	})
-
 	// The request codec alone on a body of the served geometry: the
 	// share of every wire-path answer that is reading 768 floats out of
 	// JSON. Decoding into a slice with room must not allocate.

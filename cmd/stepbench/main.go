@@ -1,6 +1,6 @@
 // Command stepbench regenerates the paper's tables and figures on
-// the synthetic workloads and prints them as text tables — the
-// harness behind EXPERIMENTS.md.
+// the synthetic workloads and prints them as text tables (-exp), and
+// runs and compares the substrate perf baseline (-bench, -compare).
 //
 // Usage:
 //

@@ -25,38 +25,7 @@ import (
 // silently ignored); and a body between the replica's model-scaled cap
 // and the router's flat 8 MiB is refused only by the replica.
 func TestInferBodyLimitsBothModes(t *testing.T) {
-	m, err := buildServeModel("lenet3c1l", 4, 8, 1.5, 3, 7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newServer := func() *serve.Server {
-		srv, err := serve.New(serve.Config{
-			Model: m, Subnets: 3, Workers: 1, QueueDepth: 16, PriorityClasses: 2,
-			Calibration: governor.LatencyModel{
-				StepMACs: governor.StepCosts(m, 3),
-				StepTime: []time.Duration{time.Nanosecond, time.Nanosecond, time.Nanosecond},
-			},
-			DefaultDeadline: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	a := newApp(7)
-	srv := newServer()
-	defer srv.Close()
-	a.setReady(srv, m)
-	ro, err := cluster.NewRouter(cluster.RouterConfig{
-		Backends:      []cluster.Backend{&cluster.Local{Srv: newServer(), Name: "r0"}},
-		ProbeInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	muxes := map[string]*http.ServeMux{"replica": newMux(a), "router": newRouterMux(ro, new(atomic.Bool))}
-
+	muxes := bothMuxes(t)
 	input := "[" + strings.TrimSuffix(strings.Repeat("0.5,", 3*8*8), ",") + "]"
 	padded := func(n int) string { // a valid request n bytes long
 		head := `{"input":` + input + `,"pad":"`
@@ -98,6 +67,44 @@ func TestInferBodyLimitsBothModes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bothMuxes builds the production muxes of both modes over a small
+// cache-less model: a ready replica, and a router over one in-process
+// replica. Cleanup closes the servers and the router.
+func bothMuxes(t *testing.T) map[string]*http.ServeMux {
+	t.Helper()
+	m, err := buildServeModel("lenet3c1l", 4, 8, 1.5, 3, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newServer := func() *serve.Server {
+		srv, err := serve.New(serve.Config{
+			Model: m, Subnets: 3, Workers: 1, QueueDepth: 16, PriorityClasses: 2,
+			Calibration: governor.LatencyModel{
+				StepMACs: governor.StepCosts(m, 3),
+				StepTime: []time.Duration{time.Nanosecond, time.Nanosecond, time.Nanosecond},
+			},
+			DefaultDeadline: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	a := newApp(7)
+	srv := newServer()
+	t.Cleanup(srv.Close)
+	a.setReady(srv, m)
+	ro, err := cluster.NewRouter(cluster.RouterConfig{
+		Backends:      []cluster.Backend{&cluster.Local{Srv: newServer(), Name: "r0"}},
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ro.Close)
+	return map[string]*http.ServeMux{"replica": newMux(a), "router": newRouterMux(ro, new(atomic.Bool))}
 }
 
 // TestStatsCountKnownInputs pins the two counters the known-text path

@@ -601,11 +601,10 @@ func printRemoteView(target string) {
 			}
 			// Each replica's own /stats reveals where cache reuse
 			// actually landed — the concentration affinity buys — and
-			// what the lifecycle did to it (entries warmed in by the
-			// router, entries aged out by the TTL).
+			// how many entries the TTL aged out.
 			if snap, ok := replicaCacheSnap(rs.Target); ok {
-				line += fmt.Sprintf(" cache-hits=%-5d warmed=%-4d expired=%d",
-					snap.CacheHits+snap.CacheResumes, snap.CacheWarmed, snap.CacheExpired)
+				line += fmt.Sprintf(" cache-hits=%-5d expired=%d",
+					snap.CacheHits+snap.CacheResumes, snap.CacheExpired)
 				hits := snap.CacheHits + snap.CacheResumes
 				hitTotal += hits
 				if hits > hitTop {
@@ -621,10 +620,6 @@ func printRemoteView(target string) {
 					hitTotal, 100*float64(hitTop)/float64(hitTotal))
 			}
 			fmt.Println(line)
-		}
-		if rst.WarmTransfers > 0 || rst.WarmFailures > 0 {
-			fmt.Printf("  warming: %d entries transferred (%d KiB) onto spill targets, %d failures\n",
-				rst.WarmTransfers, rst.WarmBytes>>10, rst.WarmFailures)
 		}
 		return
 	}
@@ -686,10 +681,6 @@ func printClassProtection(snap serve.Snapshot) {
 			snap.CacheHits, snap.CacheResumes, 100*reuse, snap.EarlyExits,
 			snap.CacheEntries, snap.CacheBytes>>10, snap.CacheEvictions,
 			snap.CacheExpired, snap.CacheInvalidated, snap.CacheGeneration)
-		if snap.Speculated > 0 || snap.CacheWarmed > 0 {
-			fmt.Printf("cache lifecycle: %d speculative pre-climbs (%d kMAC idle-window work), %d entries warmed in from peers\n",
-				snap.Speculated, snap.SpeculativeMACs/1e3, snap.CacheWarmed)
-		}
 	} else if snap.EarlyExits > 0 {
 		fmt.Printf("early exit: %d answers stopped below their affordable rung\n", snap.EarlyExits)
 	}

@@ -27,11 +27,13 @@
 // building and calibrating at startup, 200 while serving, 503 again
 // the moment a SIGTERM starts the drain — so a router (or any load
 // balancer) stops sending work before in-flight requests are cut
-// off. The listener itself is hardened: -hdr-timeout bounds how long
-// a connection may dribble its headers (slow-loris), with read and
-// idle timeouts alongside. The -refresh interval keeps the deadline
-// calibration tracking live step timings (thermal or contention
-// drift) instead of trusting startup numbers forever.
+// off. Those three routes are the whole HTTP surface of both modes;
+// nothing on the listener writes into a cache. The listener itself
+// is hardened: -hdr-timeout bounds how long a connection may dribble
+// its headers (slow-loris), with read and idle timeouts alongside.
+// The -refresh interval keeps the deadline calibration tracking live
+// step timings (thermal or contention drift) instead of trusting
+// startup numbers forever.
 //
 // Router mode (-route) serves the same /infer contract by spreading
 // requests over N replica URLs, least predicted backlog first, with
@@ -102,7 +104,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -128,37 +129,35 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stepserve: ")
 
-	modelName := flag.String("model", "lenet3c1l", "network: lenet3c1l, lenet5 or vgg16")
-	subnets := flag.Int("subnets", 4, "ladder depth N")
-	expansion := flag.Float64("expansion", 1.6, "width expansion ratio")
-	classes := flag.Int("classes", 10, "number of classes")
-	imgHW := flag.Int("img", 16, "input image height/width")
-	seed := flag.Uint64("seed", 1, "master seed")
-	train := flag.Bool("train", false, "run the full construction+distillation pipeline instead of a random subnet spread (slow)")
+	var sf servingFlags
+	flag.StringVar(&sf.model, "model", "lenet3c1l", "network: lenet3c1l, lenet5 or vgg16")
+	flag.IntVar(&sf.subnets, "subnets", 4, "ladder depth N")
+	flag.Float64Var(&sf.expansion, "expansion", 1.6, "width expansion ratio")
+	flag.IntVar(&sf.classes, "classes", 10, "number of classes")
+	flag.IntVar(&sf.img, "img", 16, "input image height/width")
+	flag.Uint64Var(&sf.seed, "seed", 1, "master seed")
+	flag.BoolVar(&sf.train, "train", false, "run the full construction+distillation pipeline instead of a random subnet spread (slow)")
 
 	addr := flag.String("addr", ":8080", "HTTP listen address (server and router modes)")
-	workers := flag.Int("workers", 0, "engine-pool size (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue", 64, "admission queue bound")
-	maxBatch := flag.Int("batch", 4, "micro-batch size (1 disables batching)")
-	deadline := flag.Duration("deadline", 20*time.Millisecond, "default per-request deadline")
-	priorities := flag.Int("priorities", 2, "number of request priority classes (1 disables priorities)")
-	refresh := flag.Duration("refresh", 2*time.Second, "calibration refresh interval (0 trusts startup calibration forever)")
+	flag.IntVar(&sf.workers, "workers", 0, "engine-pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&sf.queue, "queue", 64, "admission queue bound")
+	flag.IntVar(&sf.batch, "batch", 4, "micro-batch size (1 disables batching)")
+	flag.DurationVar(&sf.deadline, "deadline", 20*time.Millisecond, "default per-request deadline")
+	flag.IntVar(&sf.priorities, "priorities", 2, "number of request priority classes (1 disables priorities)")
+	flag.DurationVar(&sf.refresh, "refresh", 2*time.Second, "calibration refresh interval (0 trusts startup calibration forever)")
 	sloSpec := flag.String("slo", "", "per-class SLOs arming the adaptive overload governor, like 1:2ms:0.99 — class:p99target[:min-hit-rate[:min-subnet]] (empty disables the governor)")
-	control := flag.Duration("control", 0, "overload governor tick interval (0 = 100ms when -slo is set)")
-	cacheEntries := flag.Int("cache", 0, "semantic result cache capacity in entries (0 disables; repeated inputs are answered from — or resumed off — cached ladder state)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "semantic cache memory bound in bytes (0 = 64MiB default when -cache is set)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "semantic cache entry time-to-live (0 = no age bound; entries still invalidate on calibration refresh)")
-	speculate := flag.Bool("speculate", false, "pre-climb the hottest sub-top cached walks during idle worker windows (requires -cache; speculative MACs are metered separately)")
-	warmFile := flag.String("warm-file", "", "server: persist the hot input set here on drain and pre-climb it on startup (restart warming)")
+	flag.DurationVar(&sf.control, "control", 0, "overload governor tick interval (0 = 100ms when -slo is set)")
+	flag.IntVar(&sf.cacheEntries, "cache", 0, "semantic result cache capacity in entries (0 disables; repeated inputs are answered from — or resumed off — cached ladder state)")
+	flag.Int64Var(&sf.cacheBytes, "cache-bytes", 0, "semantic cache memory bound in bytes (0 = 64MiB default when -cache is set)")
+	flag.DurationVar(&sf.cacheTTL, "cache-ttl", 0, "semantic cache entry time-to-live (0 = no age bound; entries still invalidate on calibration refresh)")
 	exitMarginSpec := flag.String("exit-margin", "", "confidence early-exit top-2 logit margin: a single threshold, or a comma-separated per-class vector indexed by predicted class (empty disables the exit)")
-	exitCalibrate := flag.Int("exit-calibrate", 0, "derive argmax-safe per-class early-exit margins from this many seeded calibration inputs (overrides -exit-margin)")
+	flag.IntVar(&sf.exitCalibrate, "exit-calibrate", 0, "derive argmax-safe per-class early-exit margins from this many seeded calibration inputs (overrides -exit-margin)")
 	hdrTimeout := flag.Duration("hdr-timeout", 5*time.Second, "how long a connection may take to send its request headers before it is closed (slow-loris defense)")
 
 	route := flag.String("route", "", "comma-separated replica base URLs: run as a fault-tolerant router over them instead of serving a model")
 	hedge := flag.Bool("hedge", false, "router: race a second replica for requests exceeding their class's observed p99")
 	affinity := flag.Bool("affinity", false, "router: rendezvous-hash requests onto replicas by input cache key, so repeats hit the replica whose semantic cache holds the walk")
 	affinitySpill := flag.Float64("affinity-spill", 2, "router: spill an affinity pick to the next replica in hash order once its backlog exceeds this factor × the cluster mean (≥1)")
-	warm := flag.Bool("warm", false, "router: transfer a spilled key's cache entry from its affinity winner to the replica that caught it (requires -affinity)")
 
 	loadgen := flag.Bool("loadgen", false, "run the load generator instead of the HTTP server")
 	targets := flag.String("targets", "", "loadgen: comma-separated replica/router base URLs to drive over HTTP instead of an in-process server")
@@ -175,21 +174,20 @@ func main() {
 	}
 
 	if *route != "" {
-		serveRouter(splitTargets(*route), *addr, *deadline, *hedge, *affinity, *affinitySpill, *warm, *hdrTimeout)
+		serveRouter(splitTargets(*route), *addr, sf.deadline, *hedge, *affinity, *affinitySpill, *hdrTimeout)
 		return
 	}
 
-	slos, err := parseSLOs(*sloSpec)
-	if err != nil {
+	var err error
+	if sf.slos, err = parseSLOs(*sloSpec); err != nil {
 		log.Fatal(err)
 	}
-	exitMargin, exitMargins, err := parseExitMargins(*exitMarginSpec)
-	if err != nil {
+	if sf.exitMargin, sf.exitMargins, err = parseExitMargins(*exitMarginSpec); err != nil {
 		log.Fatal(err)
 	}
 
 	if *loadgen {
-		mix, err := parseDeadlineMix(*deadlineMix, *deadline)
+		mix, err := parseDeadlineMix(*deadlineMix, sf.deadline)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -204,14 +202,15 @@ func main() {
 			// Remote repeats reuse the replicas' input geometry (the
 			// server builds with InC=3), so repeated payloads are
 			// bit-identical across requests and cache-key stable.
-			runRemoteLoadgen(splitTargets(*targets), *rps, *duration, mix, *seed, *slowConns, *scenario, shape, slos,
-				*repeat, 3*(*imgHW)*(*imgHW))
+			runRemoteLoadgen(splitTargets(*targets), *rps, *duration, mix, sf.seed, *slowConns, *scenario, shape, sf.slos,
+				*repeat, 3*sf.img*sf.img)
 			return
 		}
-		m, srv := mustBuildServing(*modelName, *classes, *imgHW, *expansion, *subnets, *seed, *train,
-			*workers, *queueDepth, *maxBatch, *deadline, *priorities, *refresh, slos, *control,
-			*cacheEntries, *cacheBytes, *cacheTTL, *speculate, exitMargin, exitMargins, *exitCalibrate)
-		runLoadgen(srv, m, *rps, *duration, mix, *seed, *scenario, shape, slos, *repeat)
+		srv, m, err := buildServing(sf)
+		if err != nil {
+			log.Fatal(err)
+		}
+		runLoadgen(srv, m, *rps, *duration, mix, sf.seed, *scenario, shape, sf.slos, *repeat)
 		srv.Close()
 		return
 	}
@@ -220,90 +219,67 @@ func main() {
 	// background. /healthz answers 503 until the model is ready, so a
 	// router's probes (and orchestrator readiness checks) see an
 	// honest starting state instead of a connection-refused window.
-	serveHTTP(*addr, *seed, *hdrTimeout, *warmFile, func() (*serve.Server, *models.Model, error) {
-		m, err := buildServeModel(*modelName, *classes, *imgHW, *expansion, *subnets, *seed, *train)
-		if err != nil {
-			return nil, nil, err
-		}
-		margins, err := calibratedExitMargins(m, *subnets, *exitCalibrate, *seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		if margins == nil {
-			margins = exitMargins
-		}
-		cfg := serve.Config{
-			Model: m, Subnets: *subnets,
-			Workers: *workers, QueueDepth: *queueDepth, MaxBatch: *maxBatch,
-			PriorityClasses: *priorities,
-			DefaultDeadline: *deadline,
-			RefreshInterval: *refresh,
-			SLOs:            slos,
-			ControlInterval: *control,
-			CacheEntries:    *cacheEntries, CacheBytes: *cacheBytes,
-			CacheTTL: *cacheTTL, Speculate: *speculate,
-			ExitMargins: margins,
-		}
-		if margins == nil {
-			cfg.ExitMargin = exitMargin
-		}
-		srv, err := serve.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		logCalibration(srv, m, *subnets)
-		logCacheExit(cfg)
-		// Restart warming: replay the predecessor process's persisted
-		// hot set up the ladder before /healthz goes ready, so the
-		// first repeats after a rolling restart hit a warm cache.
-		if inputs := loadWarmFile(*warmFile); len(inputs) > 0 {
-			n := srv.Prewarm(inputs, 0)
-			log.Printf("warm file: pre-climbed %d/%d persisted hot inputs", n, len(inputs))
-		}
-		return srv, m, nil
-	})
+	serveHTTP(*addr, sf.seed, *hdrTimeout, func() (*serve.Server, *models.Model, error) { return buildServing(sf) })
 }
 
-// mustBuildServing is the synchronous build path for in-process
-// loadgen runs: model, serving layer and calibration log, or exit.
-func mustBuildServing(modelName string, classes, imgHW int, expansion float64, subnets int, seed uint64, train bool,
-	workers, queueDepth, maxBatch int, deadline time.Duration, priorities int, refresh time.Duration,
-	slos []governor.SLO, control time.Duration,
-	cacheEntries int, cacheBytes int64, cacheTTL time.Duration, speculate bool,
-	exitMargin float64, exitMargins []float64, exitCalibrate int) (*models.Model, *serve.Server) {
-	m, err := buildServeModel(modelName, classes, imgHW, expansion, subnets, seed, train)
+// servingFlags are the parsed flags that shape a serving process: the
+// model it builds and the serve.Config it runs under. Server mode and
+// the in-process load generator both build from them, through
+// buildServing.
+type servingFlags struct {
+	model                 string
+	subnets, classes, img int
+	expansion             float64
+	seed                  uint64
+	train                 bool
+	workers, queue, batch int
+	deadline              time.Duration
+	priorities            int
+	refresh               time.Duration
+	slos                  []governor.SLO
+	control               time.Duration
+	cacheEntries          int
+	cacheBytes            int64
+	cacheTTL              time.Duration
+	exitMargin            float64
+	exitMargins           []float64
+	exitCalibrate         int
+}
+
+// buildServing builds the model and the serving layer the flags
+// describe, then logs the calibrated ladder and what the cache and the
+// early exit will short-circuit. Calibrated exit margins
+// (-exit-calibrate) replace -exit-margin.
+func buildServing(f servingFlags) (*serve.Server, *models.Model, error) {
+	m, err := buildServeModel(f.model, f.classes, f.img, f.expansion, f.subnets, f.seed, f.train)
 	if err != nil {
-		log.Fatal(err)
-	}
-	margins, err := calibratedExitMargins(m, subnets, exitCalibrate, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if margins == nil {
-		margins = exitMargins
+		return nil, nil, err
 	}
 	cfg := serve.Config{
-		Model: m, Subnets: subnets,
-		Workers: workers, QueueDepth: queueDepth, MaxBatch: maxBatch,
-		PriorityClasses: priorities,
-		DefaultDeadline: deadline,
-		RefreshInterval: refresh,
-		SLOs:            slos,
-		ControlInterval: control,
-		CacheEntries:    cacheEntries, CacheBytes: cacheBytes,
-		CacheTTL: cacheTTL, Speculate: speculate,
-		ExitMargins: margins,
+		Model: m, Subnets: f.subnets,
+		Workers: f.workers, QueueDepth: f.queue, MaxBatch: f.batch,
+		PriorityClasses: f.priorities,
+		DefaultDeadline: f.deadline,
+		RefreshInterval: f.refresh,
+		SLOs:            f.slos,
+		ControlInterval: f.control,
+		CacheEntries:    f.cacheEntries, CacheBytes: f.cacheBytes, CacheTTL: f.cacheTTL,
+		ExitMargin: f.exitMargin, ExitMargins: f.exitMargins,
 	}
-	if margins == nil {
-		cfg.ExitMargin = exitMargin
+	margins, err := calibratedExitMargins(m, f.subnets, f.exitCalibrate, f.seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if margins != nil {
+		cfg.ExitMargin, cfg.ExitMargins = 0, margins
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
-	logCalibration(srv, m, subnets)
+	logCalibration(srv, m, f.subnets)
 	logCacheExit(cfg)
-	return m, srv
+	return srv, m, nil
 }
 
 // parseExitMargins resolves the -exit-margin spec: empty disables the
@@ -355,9 +331,6 @@ func logCacheExit(cfg serve.Config) {
 		line := fmt.Sprintf("semantic cache: %d entries", cfg.CacheEntries)
 		if cfg.CacheTTL > 0 {
 			line += fmt.Sprintf(", TTL %v", cfg.CacheTTL)
-		}
-		if cfg.Speculate {
-			line += ", idle-window speculation on"
 		}
 		log.Print(line)
 	}
@@ -580,56 +553,6 @@ func newMux(a *app) *http.ServeMux {
 			log.Printf("stats encode: %v", err)
 		}
 	})
-	// The cache-warming wire surface (see cluster.CacheTransfer): GET
-	// exports one semantic-cache entry by its hex key, POST installs a
-	// transferred one under the local generation. Both answer on a
-	// cache-less replica too — GET with an honest 404, POST as a no-op
-	// accept — so a heterogeneous fleet never turns warming into
-	// breaker evidence.
-	mux.HandleFunc("/cache/entry", func(w http.ResponseWriter, r *http.Request) {
-		if msg := a.notReady(); msg != "" {
-			http.Error(w, msg, http.StatusServiceUnavailable)
-			return
-		}
-		srv := a.srv.Load()
-		switch r.Method {
-		case http.MethodGet:
-			key, err := cluster.ParseKey(r.URL.Query().Get("key"))
-			if err != nil {
-				http.Error(w, "bad key (want base-16)", http.StatusBadRequest)
-				return
-			}
-			ent, ok := srv.CachePeek(key)
-			if !ok {
-				http.Error(w, "no cache entry", http.StatusNotFound)
-				return
-			}
-			wire, err := cluster.WireCacheEntry(key, ent)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			if err := json.NewEncoder(w).Encode(wire); err != nil {
-				log.Printf("cache entry encode: %v", err)
-			}
-		case http.MethodPost:
-			var wire cluster.CacheEntryWire
-			if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&wire); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			k, ent, err := wire.Entry()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			srv.WarmInstall(k, ent)
-			fmt.Fprintln(w, "ok")
-		default:
-			http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
-		}
-	})
 	mux.Handle("/infer", &cluster.InferHandler{
 		NotReady: a.notReady,
 		Submit:   func(req serve.Request) (serve.Result, error) { return a.srv.Load().Submit(req) },
@@ -662,7 +585,7 @@ func newHTTPServer(addr string, h http.Handler, hdrTimeout time.Duration) *http.
 // flips /healthz to 200 when done, and a signal drains in order —
 // readiness down first, then the HTTP server, then the serving layer,
 // so in-flight handlers never see ErrClosed.
-func serveHTTP(addr string, seed uint64, hdrTimeout time.Duration, warmFile string, build func() (*serve.Server, *models.Model, error)) {
+func serveHTTP(addr string, seed uint64, hdrTimeout time.Duration, build func() (*serve.Server, *models.Model, error)) {
 	a := newApp(seed)
 	hs := newHTTPServer(addr, newMux(a), hdrTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -703,54 +626,12 @@ func serveHTTP(addr string, seed uint64, hdrTimeout time.Duration, warmFile stri
 	<-shutdownDone
 	err := <-initErr
 	if srv := a.srv.Load(); srv != nil {
-		saveWarmFile(warmFile, srv.HotInputs())
 		srv.Close()
 		log.Printf("drained; final stats: %+v", srv.Stats())
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// saveWarmFile persists the draining server's hot input set (hottest
-// first) as JSON, so the successor process can pre-climb the same keys
-// before taking traffic. Best-effort: a failed write logs and moves
-// on — a drain must never hang on a full disk.
-func saveWarmFile(path string, inputs [][]float64) {
-	if path == "" || len(inputs) == 0 {
-		return
-	}
-	blob, err := json.Marshal(inputs)
-	if err != nil {
-		log.Printf("warm file: marshal: %v", err)
-		return
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		log.Printf("warm file: %v", err)
-		return
-	}
-	log.Printf("warm file: persisted %d hot inputs to %s", len(inputs), path)
-}
-
-// loadWarmFile reads a predecessor's persisted hot set. A missing or
-// unreadable file returns nil — a fresh start is never an error.
-func loadWarmFile(path string) [][]float64 {
-	if path == "" {
-		return nil
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			log.Printf("warm file: %v", err)
-		}
-		return nil
-	}
-	var inputs [][]float64
-	if err := json.Unmarshal(blob, &inputs); err != nil {
-		log.Printf("warm file: bad contents: %v", err)
-		return nil
-	}
-	return inputs
 }
 
 // newRouterMux builds the router's HTTP surface: the same POST /infer
@@ -795,7 +676,7 @@ func newRouterMux(ro *cluster.Router, draining *atomic.Bool) *http.ServeMux {
 // contract, served by spreading requests over the replica URLs with
 // health probing, circuit breaking and deadline-aware retry/hedging
 // (see internal/cluster.Router).
-func serveRouter(targets []string, addr string, defaultDeadline time.Duration, hedge, affinity bool, affinitySpill float64, warm bool, hdrTimeout time.Duration) {
+func serveRouter(targets []string, addr string, defaultDeadline time.Duration, hedge, affinity bool, affinitySpill float64, hdrTimeout time.Duration) {
 	backends := make([]cluster.Backend, 0, len(targets))
 	for _, tgt := range targets {
 		backends = append(backends, cluster.NewRemote(tgt))
@@ -806,7 +687,6 @@ func serveRouter(targets []string, addr string, defaultDeadline time.Duration, h
 		Hedge:               hedge,
 		Affinity:            affinity,
 		AffinitySpillFactor: affinitySpill,
-		Warm:                warm,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -836,9 +716,8 @@ func serveRouter(targets []string, addr string, defaultDeadline time.Duration, h
 	<-shutdownDone
 	ro.Close()
 	st := ro.Stats()
-	log.Printf("drained; routed %d (%d inputs known, served %d, failed %d, retries %d, hedges %d, affinity %d routed/%d spilled, warmed %d entries/%d B, %d warm failures)",
-		st.Submitted, st.InputsKnown, st.Served, st.Failed, st.Retries, st.Hedges, st.AffinityRouted, st.AffinitySpilled,
-		st.WarmTransfers, st.WarmBytes, st.WarmFailures)
+	log.Printf("drained; routed %d (%d inputs known, served %d, failed %d, retries %d, hedges %d, affinity %d routed/%d spilled)",
+		st.Submitted, st.InputsKnown, st.Served, st.Failed, st.Retries, st.Hedges, st.AffinityRouted, st.AffinitySpilled)
 	for _, rs := range st.Replicas {
 		log.Printf("  %s: up=%v breaker=%s success=%d rejected=%d transport=%d bad=%d retried=%d hedged=%d affinity=%d spills=%d",
 			rs.Target, rs.Up, rs.Breaker, rs.Success, rs.Rejected, rs.TransportErrors, rs.BadInputs, rs.Retried, rs.Hedged, rs.AffinityHits, rs.AffinitySpills)

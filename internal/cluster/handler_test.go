@@ -88,19 +88,19 @@ func postInfer(client *http.Client, url string, body []byte) (cluster.InferRespo
 // TestInferHandlerBufferReuse is the test that fails if a pooled body
 // or input slice goes back to the pool while the serving layer can
 // still read it: a replica-mode handler (buffers recycled) over a
-// server with the cache and idle-window speculation armed, driven from
-// several connections at once, every one with inputs of its own, mixing
-// unmeetable deadlines (a rung-1 answer that leaves a resumable entry
-// and a speculation candidate behind) with generous ones (resumes and
-// hits). Every answer must be, bitwise, the reference walk of the
-// input that asked for it. Run with -race -count=10.
+// server with the cache armed, driven from several connections at once,
+// every one with inputs of its own, mixing unmeetable deadlines (a
+// rung-1 answer that leaves a resumable entry behind) with generous
+// ones (resumes and hits). Every answer must be, bitwise, the
+// reference walk of the input that asked for it. Run with -race
+// -count=10.
 func TestInferHandlerBufferReuse(t *testing.T) {
 	m := buildModel(901)
 	imgLen := m.InC * m.InH * m.InW
 	srv, err := serve.New(serve.Config{
 		Model: m, Subnets: 3, Workers: 2, QueueDepth: 64, MaxBatch: 4, PriorityClasses: 2,
 		Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
-		CacheEntries: 64, Speculate: true,
+		CacheEntries: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

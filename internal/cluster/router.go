@@ -106,23 +106,6 @@ type RouterConfig struct {
 	// (the least-loaded candidate is never above the bound, so a
 	// qualifying replica always exists); 0 means 2.
 	AffinitySpillFactor float64
-	// Warm enables affinity-aware cache warming: every bounded-load
-	// spill records the (key → HRW winner → spill target) triple, and
-	// a background loop transfers the winner's cache entry to the
-	// spill target so the overflow replica serves the hot key warm
-	// instead of walking it cold. Requires Affinity (the spill signal
-	// does not exist without it) and backends implementing
-	// CacheTransfer (others are skipped).
-	Warm bool
-	// WarmInterval is the warming loop's cadence. 0 means 500ms;
-	// negative disables the background loop (deterministic tests
-	// drive warmOnce by hand).
-	WarmInterval time.Duration
-	// WarmBudgetBytes bounds how many payload bytes one warming pass
-	// may install into any single replica — cache transfers ride the
-	// same network and cache capacity real traffic uses, so a pass
-	// must not flood a replica with state. 0 means 4 MiB.
-	WarmBudgetBytes int64
 }
 
 // withDefaults fills zero fields and validates the rest.
@@ -175,15 +158,6 @@ func (c RouterConfig) withDefaults() (RouterConfig, error) {
 	}
 	if c.AffinitySpillFactor < 1 {
 		return c, fmt.Errorf("cluster: AffinitySpillFactor %v < 1 would spill away even the least-loaded replica", c.AffinitySpillFactor)
-	}
-	if c.Warm && !c.Affinity {
-		return c, fmt.Errorf("cluster: Warm requires Affinity (warming is fed by the bounded-load spill signal)")
-	}
-	if c.WarmInterval == 0 {
-		c.WarmInterval = 500 * time.Millisecond
-	}
-	if c.WarmBudgetBytes <= 0 {
-		c.WarmBudgetBytes = 4 << 20
 	}
 	return c, nil
 }
@@ -383,14 +357,6 @@ type Router struct {
 	affinitySpilled atomic.Int64 // first attempts diverted by the bounded-load spill
 	inputsKnown     atomic.Int64 // submits that came keyed and without their floats
 
-	// Warming state (RouterConfig.Warm): the spill-fed task queue and
-	// the transfer outcome counters.
-	warmMu        sync.Mutex
-	warmQueue     []warmTask
-	warmTransfers atomic.Int64 // entries installed into a spill target
-	warmBytes     atomic.Int64 // payload bytes transferred
-	warmFailures  atomic.Int64 // fetches or installs that errored
-
 	rr atomic.Int64 // rotation offset for backlog ties
 
 	classLats [hedgeClassMax]latRing
@@ -419,10 +385,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			ro.wg.Add(1)
 			go ro.probeLoop(r)
 		}
-	}
-	if cfg.Warm && cfg.WarmInterval > 0 {
-		ro.wg.Add(1)
-		go ro.warmLoop()
 	}
 	return ro, nil
 }
@@ -611,10 +573,6 @@ func (ro *Router) pick(tried []*replica, isRetry bool, absDeadline time.Time, ke
 				case demoted:
 					hrwFirst.affinitySpills.Add(1)
 					ro.affinitySpilled.Add(1)
-					// The spill is the warming signal: this key's
-					// traffic just overflowed its warm replica onto a
-					// cold one.
-					ro.noteSpill(key, hrwFirst, c.r)
 				}
 			}
 			return c.r
@@ -915,10 +873,6 @@ type ReplicaStats struct {
 	// CacheResumes is the replica's cumulative cache-seeded resumed
 	// walks at its last successful probe.
 	CacheResumes int64 `json:"cache_resumes"`
-	// CacheWarmed is the replica's cumulative count of cache entries
-	// installed by cross-replica warming transfers, at its last
-	// successful probe.
-	CacheWarmed int64 `json:"cache_warmed"`
 	// EarlyExits is the replica's cumulative confidence early exits
 	// at its last successful probe.
 	EarlyExits int64 `json:"early_exits"`
@@ -950,14 +904,6 @@ type RouterStats struct {
 	// AffinitySpilled counts first attempts the bounded-load spill
 	// diverted away from their rendezvous choice.
 	AffinitySpilled int64 `json:"affinity_spilled"`
-	// WarmTransfers counts cache entries the warming loop installed
-	// into spill targets (0 unless Warm is on).
-	WarmTransfers int64 `json:"warm_transfers"`
-	// WarmBytes counts payload bytes moved by warming transfers.
-	WarmBytes int64 `json:"warm_bytes"`
-	// WarmFailures counts warming fetches or installs that errored
-	// (a missing source entry is a drop, not a failure).
-	WarmFailures int64 `json:"warm_failures"`
 	// Available counts replicas currently admitted.
 	Available int `json:"available"`
 	// Replicas breaks the counters down per replica.
@@ -975,9 +921,6 @@ func (ro *Router) Stats() RouterStats {
 		InputsKnown:     ro.inputsKnown.Load(),
 		AffinityRouted:  ro.affinityRouted.Load(),
 		AffinitySpilled: ro.affinitySpilled.Load(),
-		WarmTransfers:   ro.warmTransfers.Load(),
-		WarmBytes:       ro.warmBytes.Load(),
-		WarmFailures:    ro.warmFailures.Load(),
 	}
 	now := time.Now()
 	for _, r := range ro.replicas {
@@ -1016,7 +959,6 @@ func (ro *Router) Stats() RouterStats {
 			rs.CacheHits = snap.CacheHits
 			rs.InlineHits = snap.InlineHits
 			rs.CacheResumes = snap.CacheResumes
-			rs.CacheWarmed = snap.CacheWarmed
 			rs.EarlyExits = snap.EarlyExits
 			if snap.Policy != nil {
 				rs.BrownoutLevel = snap.Policy.MaxLevel

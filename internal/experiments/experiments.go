@@ -64,7 +64,7 @@ func Quick() Scale {
 	}
 }
 
-// Full is the CLI scale used to produce EXPERIMENTS.md.
+// Full is the largest scale, `stepbench -exp all -scale full`.
 func Full() Scale {
 	return Scale{
 		Name: "full", TrainSamples: 2048, TestSamples: 768,

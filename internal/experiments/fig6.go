@@ -115,8 +115,7 @@ func (f *Fig6Result) Render() string {
 
 // WinsAtMatchedMACs counts, over all nets and MAC levels, how often
 // SteppingNet's accuracy is at least each baseline's. Used by tests
-// and EXPERIMENTS.md to state the paper's headline claim
-// quantitatively.
+// to state the paper's headline claim quantitatively.
 func (f *Fig6Result) WinsAtMatchedMACs() (wins, comparisons int) {
 	for _, net := range f.Nets {
 		var stepping []baselines.OperatingPoint

@@ -96,8 +96,8 @@ func (e *Engine) ExportState(row int) (*LadderState, error) {
 // x must be the same single-image input the state was exported from
 // (batch 1, shape equal to st.In); the state must match the engine's
 // plan: a subnet within the ladder and one batch-1 tensor of the
-// stage's output shape per stage. States arrive from caches and over
-// the wire, so every violation is rejected with an error before any
+// stage's output shape per stage. States arrive from a cache shared by
+// every worker, so every violation is rejected with an error before any
 // engine mutation — a wrong-shaped tensor would otherwise be indexed
 // out of range by the next Step. The state itself is copied into the
 // engine's buffers, never adopted, so the caller's state remains

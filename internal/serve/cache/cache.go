@@ -66,13 +66,12 @@ const (
 //
 // The cluster router keys its rendezvous hashing on this same value,
 // so repeats of an input land on the replica whose cache holds the
-// walk, and warm transfers name entries by it. The construction is
-// therefore part of the wire contract: deterministic across processes,
-// pinned by the golden values in cache_test.go, and a router and its
-// replicas must run the same version. A mixed cluster stays correct —
-// each replica keys its own cache — and only loses affinity and warm
-// transfers. (Version 1 was FNV-1a 64 over the same bytes, one at a
-// time.)
+// walk. The construction is therefore part of the wire contract:
+// deterministic across processes, pinned by the golden values in
+// cache_test.go, and a router and its replicas must run the same
+// version. A mixed cluster stays correct — each replica keys its own
+// cache — and only loses affinity. (Version 1 was FNV-1a 64 over the
+// same bytes, one at a time.)
 func KeyOf(x []float64) Key {
 	h := bits.RotateLeft64((keySeed^uint64(len(x)))*keyMul, 29)
 	for _, f := range x {
@@ -264,8 +263,7 @@ func (c *Cache) Lookup(k Key) (*Entry, bool) {
 // Peek returns the live entry for k without counting a hit or miss
 // and without refreshing recency. Staleness is still enforced (a
 // stale entry is evicted and not returned). It serves observers that
-// are not request traffic: the speculative pre-climber choosing work
-// and the warming endpoint exporting entries to peers.
+// are not request traffic, such as tests waiting for a publish.
 func (c *Cache) Peek(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -332,16 +330,6 @@ func (c *Cache) BumpGeneration() uint64 {
 	return c.gen
 }
 
-// Generation returns the current generation stamp. Pair with
-// PutIfGeneration to make a read-compute-write cycle (e.g. a
-// speculative pre-climb) discard its result if the world changed
-// while it computed.
-func (c *Cache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
 // Put offers an entry for k and reports whether it was stored. An
 // existing live entry at an equal or wider rung wins (the offer is
 // dropped — the cache keeps only the widest walk per key, and a
@@ -352,26 +340,6 @@ func (c *Cache) Generation() uint64 {
 func (c *Cache) Put(k Key, e *Entry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(k, e)
-}
-
-// PutIfGeneration is Put gated on the generation observed when the
-// offer's inputs were read: if the cache's generation has moved past
-// gen, the offer is dropped. It closes the read-compute-write race a
-// lazy invalidation scheme otherwise has — state peeked under
-// generation g, climbed, and offered back after a bump would
-// resurrect pre-bump data under the new generation.
-func (c *Cache) PutIfGeneration(k Key, e *Entry, gen uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return false
-	}
-	return c.putLocked(k, e)
-}
-
-// putLocked is the Put body. Caller holds the lock.
-func (c *Cache) putLocked(k Key, e *Entry) bool {
 	if e == nil || e.Subnet < 1 {
 		return false
 	}

@@ -289,14 +289,13 @@ func TestTTLExpiryGolden(t *testing.T) {
 
 // TestGenerationInvalidation pins the generation contract: after
 // BumpGeneration every pre-bump entry is evicted at its next lookup
-// (miss + eviction + invalidated), Put across the bump compares
-// against nothing stale, and PutIfGeneration discards an offer whose
-// inputs were read before the bump.
+// (miss + eviction + invalidated), and Put across the bump compares
+// against nothing stale.
 func TestGenerationInvalidation(t *testing.T) {
 	c := New(Config{MaxEntries: 8, MaxBytes: 1 << 20})
 	k := KeyOf([]float64{3})
 	c.Put(k, entry(3, 64))
-	gen := c.Generation()
+	gen := c.Stats().Generation
 	if got := c.BumpGeneration(); got != gen+1 {
 		t.Fatalf("BumpGeneration returned %d, want %d", got, gen+1)
 	}
@@ -321,16 +320,6 @@ func TestGenerationInvalidation(t *testing.T) {
 	}
 	if e, ok := c.Get(k); !ok || e.Subnet != 1 {
 		t.Fatalf("post-bump entry %+v, want fresh rung-1 entry", e)
-	}
-	// PutIfGeneration: an offer computed under the old generation is
-	// dropped.
-	old := c.Generation()
-	c.BumpGeneration()
-	if c.PutIfGeneration(KeyOf([]float64{4}), entry(2, 16), old) {
-		t.Fatal("PutIfGeneration should drop a cross-generation offer")
-	}
-	if c.PutIfGeneration(KeyOf([]float64{4}), entry(2, 16), c.Generation()) != true {
-		t.Fatal("PutIfGeneration at the current generation should store")
 	}
 }
 

@@ -34,9 +34,12 @@ func TestTopRungHitAnsweredBeforeTheQueue(t *testing.T) {
 	hot := inputVec(602, imgLen)
 	want, _ := coldLadder(t, m, hot, 3)
 	key := cache.KeyOf(hot)
-	if !sv.WarmInstall(key, &cache.Entry{Subnet: 3, Logits: append([]float64(nil), want[3]...)}) {
-		t.Fatal("WarmInstall refused a top-rung entry")
+	// Seed the cache with a real walk of the hot input.
+	if res, err := sv.Submit(Request{Input: hot}); err != nil || res.Subnet != 3 {
+		t.Fatalf("seeding walk: %+v, %v; want an answer at the top rung", res, err)
 	}
+	waitEntry(t, sv, hot, sv.n)
+	seeded := sv.Stats().Submitted
 
 	// One cold request into the worker, one into the batch former's
 	// hand, one into the queue's only slot.
@@ -50,7 +53,7 @@ func TestTopRungHitAnsweredBeforeTheQueue(t *testing.T) {
 			}
 		}()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-			if snap := sv.Stats(); snap.Submitted == int64(i+1) && (snap.QueueLen == 0 || i == 2) {
+			if snap := sv.Stats(); snap.Submitted == seeded+int64(i+1) && (snap.QueueLen == 0 || i == 2) {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -114,21 +117,6 @@ func TestTopRungHitAnsweredBeforeTheQueue(t *testing.T) {
 	}
 }
 
-// waitPublished returns once the cache holds in's walk at the top rung:
-// a worker answers first and publishes after, so only then is the next
-// repeat sure to be answered before the queue.
-func waitPublished(t *testing.T, sv *Server, in []float64) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-		if ent, ok := sv.CachePeek(cache.KeyOf(in)); ok && ent.Subnet == sv.n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("a finished walk was never published to the cache")
-		}
-	}
-}
-
 // TestKnownTextRewalksWhenTheCacheForgets is the memo's other half: a
 // text is known for good, a cache entry is not. After a calibration
 // refresh, a TTL expiry and an eviction, a request that arrives keyed
@@ -173,7 +161,7 @@ func TestKnownTextRewalksWhenTheCacheForgets(t *testing.T) {
 				if _, err := sv.Submit(Request{Input: other}); err != nil {
 					t.Fatal(err)
 				}
-				waitPublished(t, sv, other)
+				waitEntry(t, sv, other, sv.n)
 			}
 		},
 	}
@@ -196,7 +184,7 @@ func TestKnownTextRewalksWhenTheCacheForgets(t *testing.T) {
 				t.Fatalf("%s: re-walked logit[%d] = %v, cold walk %v", cause, j, v, want[3][j])
 			}
 		}
-		waitPublished(t, sv, in)
+		waitEntry(t, sv, in, sv.n)
 		if hit, err := sv.Submit(known); err != nil || !hit.CacheHit || hit.MACs != 0 {
 			t.Fatalf("%s: repeat after the re-walk = %+v, %v, want an inline hit", cause, hit, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"steppingnet/internal/governor"
 	"steppingnet/internal/infer"
 	"steppingnet/internal/models"
+	"steppingnet/internal/serve/cache"
 	"steppingnet/internal/tensor"
 )
 
@@ -39,12 +40,6 @@ func (s *Server) serveCacheHits(batch []*pending, started time.Time) []*pending 
 		p.started = started
 		if ent, ok := s.cache.Lookup(p.key); ok {
 			p.ent = ent
-			// A hot key still below the top rung is speculation fuel:
-			// the idle-window pre-climber can finish the climb before
-			// the next repeat arrives.
-			if ent.Subnet < s.n && ent.State != nil {
-				s.noteSpecCandidate(p.key, p.input)
-			}
 			if ent.Subnet >= p.ladderCap {
 				p.cacheHit = true
 				s.cache.Touch(p.key)
@@ -56,6 +51,17 @@ func (s *Server) serveCacheHits(batch []*pending, started time.Time) []*pending 
 		keep = append(keep, p)
 	}
 	return keep
+}
+
+// CachePeek returns the live cache entry for k without counting a hit
+// or miss and without refreshing recency — how tests observe what a
+// walk published. The returned entry is shared and immutable. Always a
+// miss on a cache-less server.
+func (s *Server) CachePeek(k cache.Key) (*cache.Entry, bool) {
+	if s.cache == nil {
+		return nil, false
+	}
+	return s.cache.Peek(k)
 }
 
 // rowMargin returns the top-2 logit margin and the argmax of row i of

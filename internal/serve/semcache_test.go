@@ -7,6 +7,7 @@ import (
 	"steppingnet/internal/governor"
 	"steppingnet/internal/infer"
 	"steppingnet/internal/models"
+	"steppingnet/internal/serve/cache"
 	"steppingnet/internal/tensor"
 )
 
@@ -96,7 +97,10 @@ func TestCacheHitServesStoredLogits(t *testing.T) {
 // partway, a later generous submit of the SAME input resumes from the
 // cached rung — and its logits must be bitwise identical to a cold
 // full walk of that input, with MACs metering exactly the climbed
-// rungs. Run by the ci.sh equivalence stage on both GEMM backends.
+// rungs. What each walk publishes is pinned too: the stopped walk its
+// resumable state, the top-rung walk its logits alone (nothing can
+// climb from there), and looking at either through CachePeek counts
+// no hit. Run by the ci.sh equivalence stage on both GEMM backends.
 func TestCachedResumeBitwiseEqualsCold(t *testing.T) {
 	m := buildModel(411)
 	coldOuts, coldMACs := coldLadder(t, m, inputVec(412, m.InC*m.InH*m.InW), 3)
@@ -115,6 +119,9 @@ func TestCachedResumeBitwiseEqualsCold(t *testing.T) {
 	}
 	if tight.Subnet != 2 || tight.Resumed {
 		t.Fatalf("tight submit reached subnet %d (resumed=%v), want cold stop at 2", tight.Subnet, tight.Resumed)
+	}
+	if ent := waitEntry(t, sv, in, 2); ent.State == nil {
+		t.Fatal("a walk stopped below the top published no resumable state")
 	}
 	generous, err := sv.Submit(Request{Input: in, Deadline: 1000 * time.Hour})
 	if err != nil {
@@ -136,10 +143,28 @@ func TestCachedResumeBitwiseEqualsCold(t *testing.T) {
 	if generous.MACs != coldMACs[3] {
 		t.Fatalf("resumed MACs %d, want climbed step only %d", generous.MACs, coldMACs[3])
 	}
-	if snap := sv.Stats(); snap.CacheResumes != 1 || snap.Classes[0].CacheResumes != 1 {
-		t.Fatalf("cache resume counters %d/%d, want 1/1", snap.CacheResumes, snap.Classes[0].CacheResumes)
+	if ent := waitEntry(t, sv, in, 3); ent.State != nil {
+		t.Fatal("a walk that reached the top rung published state nothing can resume from")
+	}
+	if snap := sv.Stats(); snap.CacheResumes != 1 || snap.Classes[0].CacheResumes != 1 || snap.CacheHits != 0 {
+		t.Fatalf("cache counters resumes %d/%d hits %d, want 1/1 and no hit", snap.CacheResumes, snap.Classes[0].CacheResumes, snap.CacheHits)
 	}
 	sv.Close()
+}
+
+// waitEntry returns the cache entry for in once it has reached rung: a
+// worker answers first and publishes after, so only then is the next
+// repeat sure to find it.
+func waitEntry(t *testing.T, sv *Server, in []float64, rung int) *cache.Entry {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		if ent, ok := sv.CachePeek(cache.KeyOf(in)); ok && ent.Subnet == rung {
+			return ent
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no rung-%d entry was ever published", rung)
+		}
+	}
 }
 
 // TestEarlyExitNeverChangesArgmax pins the early-exit safety

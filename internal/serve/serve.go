@@ -182,19 +182,6 @@ type Config struct {
 	// CacheNow overrides the cache's TTL clock — the injection point
 	// that makes expiry deterministic in tests. Nil means time.Now.
 	CacheNow func() time.Time
-	// Speculate, when true, arms the idle-window speculative
-	// pre-climber: whenever the batch former finds the queue empty and
-	// a worker idle, it pops the hottest cache key whose stored walk
-	// sits below the top rung off a small candidate ring (fed by cache
-	// hits), seeds an engine from the cached state, and climbs exactly
-	// one rung — so the next repeat of a hot input finds a wider (often
-	// full-ladder, zero-MAC) entry. Strictly preemptible: a speculative
-	// step aborts before touching the engine if any real request has
-	// been admitted, and never spans more than one rung. Its MACs are
-	// accounted separately (Snapshot.SpeculativeMACs), never against
-	// request traffic. Requires the cache (CacheEntries > 0); off by
-	// default.
-	Speculate bool
 }
 
 // withDefaults fills zero fields and validates the rest.
@@ -265,9 +252,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CacheTTL < 0 {
 		return c, fmt.Errorf("serve: negative CacheTTL %v", c.CacheTTL)
-	}
-	if c.Speculate && c.CacheEntries == 0 {
-		return c, fmt.Errorf("serve: Speculate requires the cache (CacheEntries > 0)")
 	}
 	if c.ExitMargin < 0 {
 		return c, fmt.Errorf("serve: negative ExitMargin %v", c.ExitMargin)
@@ -365,12 +349,11 @@ type response struct {
 // pending is a request in flight through the queue and scheduler.
 type pending struct {
 	// input is the caller's slice (Request.Input), not a copy. Workers
-	// read it only before they answer the request — copied into the
-	// batch tensor, hashed, copied by noteSpecCandidate — so once done
-	// delivers, or Submit refuses without queueing, nothing here still
-	// references it and the caller may recycle it (the /infer handler
-	// pools on that). Keep it so: anything that must outlive the answer
-	// takes a copy first.
+	// read it only before they answer the request, copying it into the
+	// batch tensor, so once done delivers, or Submit refuses without
+	// queueing, nothing here still references it and the caller may
+	// recycle it (the /infer handler pools on that). Keep it so:
+	// anything that must outlive the answer takes a copy first.
 	input     []float64
 	class     int
 	submitted time.Time
@@ -395,12 +378,6 @@ type pending struct {
 	cacheHit  bool
 	resumed   bool
 	earlyExit bool
-
-	// speculative marks an idle-window pre-climb job manufactured by
-	// the batch former (Config.Speculate) rather than a submitted
-	// request: it has no waiter (done is nil), no deadline, and is
-	// served by runSpeculative instead of the batch walk.
-	speculative bool
 }
 
 // Server is a concurrent anytime-inference service over one model.
@@ -442,20 +419,8 @@ type Server struct {
 	cache     *cache.Cache
 	exitArmed bool
 
-	// specRing is the speculative pre-climber's candidate ring
-	// (Config.Speculate): the hottest cache keys whose stored walks
-	// sit below the top rung, each carrying a private copy of its
-	// input. Guarded by qmu — the former pops candidates under the
-	// same lock it checks the queue under, and adding one signals
-	// qcond so an idle former wakes. speculated/specMACs meter the
-	// pre-climbed steps separately from request traffic; warmed counts
-	// cache entries installed by a peer-transfer (WarmInstall);
 	// inlineHits counts the cache hits Submit answered itself, and
 	// inputsKnown those of them that came without their floats.
-	specRing    []specCand
-	speculated  atomic.Int64
-	specMACs    atomic.Int64
-	warmed      atomic.Int64
 	inlineHits  atomic.Int64
 	inputsKnown atomic.Int64
 
@@ -624,9 +589,6 @@ func (s *Server) Stats() Snapshot {
 		snap.CacheInvalidated = cs.Counters.Invalidated
 		snap.CacheGeneration = cs.Generation
 	}
-	snap.Speculated = s.speculated.Load()
-	snap.SpeculativeMACs = s.specMACs.Load()
-	snap.CacheWarmed = s.warmed.Load()
 	snap.InlineHits = s.inlineHits.Load()
 	snap.InputsKnown = s.inputsKnown.Load()
 	lat := s.lat.Load()
@@ -937,20 +899,11 @@ func compatibleHeadroom(a, b time.Duration, la float64) bool {
 
 // popBatch blocks until at least one request is queued (or the server
 // is closed and drained, returning nil), then pops up to max requests
-// in priority order. With speculation armed, an empty queue with a
-// candidate waiting yields a speculative batch instead of blocking —
-// idle workers pre-climb hot cache entries; real arrivals always win
-// the next pop.
+// in priority order.
 func (s *Server) popBatch(max int) []*pending {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	for s.qtotal == 0 && !s.closed {
-		// The ring is fed whenever the cache is armed (it doubles as
-		// the restart-warming hot set), so the pop must gate on the
-		// flag, not on ring occupancy.
-		if s.cfg.Speculate && len(s.specRing) > 0 {
-			return []*pending{s.popSpeculativeLocked()}
-		}
 		s.qcond.Wait()
 	}
 	if s.qtotal == 0 {
@@ -1062,10 +1015,6 @@ func (s *Server) stepEstimate(lat governor.LatencyModel, next, b int) time.Durat
 // low-priority requests answer narrow while generous, high-priority
 // ones keep climbing.
 func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []*pending) {
-	if len(batch) == 1 && batch[0].speculative {
-		s.runSpeculative(e, bufs, batch[0])
-		return
-	}
 	started := time.Now()
 	if s.cfg.ServeDelay > 0 {
 		time.Sleep(s.cfg.ServeDelay)

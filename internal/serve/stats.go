@@ -317,16 +317,6 @@ type Snapshot struct {
 	// CacheGeneration is the cache's current generation stamp —
 	// incremented on every calibration-refresh swap.
 	CacheGeneration uint64 `json:"cache_generation"`
-	// Speculated counts idle-window speculative pre-climb steps
-	// executed (Config.Speculate; 0 with speculation off).
-	Speculated int64 `json:"speculated"`
-	// SpeculativeMACs sums the MACs spent by speculative pre-climbs —
-	// metered separately so TotalMACs keeps meaning "MACs spent on
-	// request traffic".
-	SpeculativeMACs int64 `json:"speculative_macs"`
-	// CacheWarmed counts cache entries installed by peer transfer
-	// (Server.WarmInstall — the router's affinity-aware warming).
-	CacheWarmed int64 `json:"cache_warmed"`
 }
 
 // PolicySnapshot is the JSON shape of the overload governor's current
