@@ -26,7 +26,9 @@
 # batch-1 walk; request decode ≤ 0.6 × and cache key ≤ 0.05 ×
 # strconv.ParseFloat on the same 768 tokens; a recognised input text ≤
 # 0.15 × the decode; a cached hit over loopback ≤ the same POST to a
-# handler that discards it + 0.6 × the decode). The committed
+# handler that discards it + 0.6 × the decode; the same hit through a
+# router ≤ 2.5 × it, and ≤ its bytes/op + 8 KiB), and on allocs/op
+# growth on http_b1_cached. The committed
 # baseline is only replaced under --update-baseline — and never
 # cross-backend — so sub-threshold regressions cannot ratchet
 # silently and a scalar box cannot clobber the avx2 reference; when a
@@ -117,13 +119,14 @@ go test -count=1 -run 'TestInputNumbersMatchStrconv|TestBenchmarkBodiesTakeTheFa
 echo "== fuzz smoke =="
 # Ten seconds per fuzz target on top of the committed seed corpora:
 # enough to shake out regressions in the hardened surfaces (the
-# LatencyModel deadline math, the /infer handler chain, the request
-# codec's agreement with encoding/json and its number reader's with
-# strconv, the semantic cache's key/churn/resume paths) without
+# LatencyModel deadline math, the /infer handler chain, the request and
+# answer codecs' agreement with encoding/json and the number reader's
+# with strconv, the semantic cache's key/churn/resume paths) without
 # stalling the gate. A real campaign runs them longer by hand.
 go test -run='^$' -fuzz=FuzzLatencyModel -fuzztime=10s ./internal/governor
 go test -run='^$' -fuzz=FuzzInferHandler -fuzztime=10s ./cmd/stepserve
 go test -run='^$' -fuzz=FuzzDecodeInferRequest -fuzztime=10s ./internal/cluster
+go test -run='^$' -fuzz=FuzzDecodeInferResponse -fuzztime=10s ./internal/cluster
 go test -run='^$' -fuzz=FuzzInputNumber -fuzztime=10s ./internal/cluster
 go test -run='^$' -fuzz=FuzzCacheResume -fuzztime=10s ./internal/serve/cache
 
@@ -159,6 +162,16 @@ echo "== cluster chaos (default backend) =="
 go test -race -count=1 -run 'TestClusterChaosKillOneReplica|TestExactlyOneAnswerUnderRandomFaults' ./internal/cluster
 echo "== cluster chaos (scalar backend) =="
 STEPPINGNET_NOSIMD=1 go test -race -count=1 -run 'TestClusterChaosKillOneReplica|TestExactlyOneAnswerUnderRandomFaults' ./internal/cluster
+
+echo "== request buffers and the hop (both backends) =="
+# Ten race runs each of what pooled request buffers and Remote's own
+# exchange lean on: a buffer goes back to the pool only after Submit
+# has returned and no hedge leg still reads it, and a connection goes
+# back only when its answer was read whole. The race detector sees no
+# happens-before edge through a socket, so these run more than once.
+HOP_TESTS='TestInferHandlerBufferReuse|TestRouterHedgeKeepsRequestBytes|TestRemote'
+go test -race -count=10 -run "$HOP_TESTS" ./internal/cluster
+STEPPINGNET_NOSIMD=1 go test -race -count=10 -run "$HOP_TESTS" ./internal/cluster
 
 echo "== router e2e smoke =="
 # Stand up three real replica processes (each with a TTL'd semantic

@@ -145,7 +145,6 @@ func writeBenchBaseline(path string) error {
 		ts := httptest.NewServer(&cluster.InferHandler{
 			Submit:   srv.Submit,
 			InputLen: func() int { return m.InC * m.InH * m.InW },
-			Recycle:  true,
 		})
 		b.Cleanup(ts.Close)
 		return ts
@@ -184,6 +183,39 @@ func writeBenchBaseline(path string) error {
 		postEach(b, url, func(int) []byte { return body }, func(answer []byte) bool {
 			return bytes.Contains(answer, []byte(`"cache_hit":true`)) == wantHit
 		})
+	}
+	// postCold is postEach of a new input every time: the infer body with
+	// the iteration's number as its first element, each answer a full
+	// four-rung walk and no hit.
+	postCold := func(b *testing.B, url string) {
+		body := newInferBody(b)
+		open := bytes.IndexByte(body, '[') + 1
+		rest := body[open+bytes.IndexByte(body[open:], ','):]
+		fresh := make([]byte, 0, len(body)+20)
+		postEach(b, url, func(i int) []byte {
+			fresh = strconv.AppendInt(append(fresh[:0], body[:open]...), int64(i), 10)
+			return append(fresh, rest...)
+		}, func(answer []byte) bool {
+			return bytes.Contains(answer, []byte(`"subnet":4`)) && !bytes.Contains(answer, []byte(`"cache_hit"`))
+		})
+	}
+	// newRouterFront stands a router in front of a newCachedReplica and
+	// returns its /infer URL: a Remote to the replica behind Router.Submit,
+	// under the production handler mounted as stepserve's router mode
+	// mounts it.
+	newRouterFront := func(b *testing.B) string {
+		ro, err := cluster.NewRouter(cluster.RouterConfig{
+			Backends:        []cluster.Backend{cluster.NewRemote(newCachedReplica(b).URL)},
+			DefaultDeadline: time.Second,
+			ProbeInterval:   -1, // the stand-in replica mounts /infer only
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(ro.Close)
+		router := httptest.NewServer(&cluster.InferHandler{NotReady: func() string { return "" }, Submit: ro.Submit})
+		b.Cleanup(router.Close)
+		return router.URL + "/infer"
 	}
 
 	results := make(map[string]benchResult)
@@ -434,9 +466,14 @@ func writeBenchBaseline(path string) error {
 	// ours; what is below it belongs to net/http and the kernel.
 	// http_b1_cached is what a client pays for serve_b1_cached_resume's
 	// answer over loopback HTTP: the production handler (bounded read,
-	// codec, pooled buffers, answer encoding) around a cache hit. -compare
-	// holds the second to the first plus 0.6 × wire_decode_768.
-	pair := fastest(
+	// codec, pooled buffers, answer codec) around a cache hit.
+	// route_b1_cached is the same answer through a router: the delta over
+	// http_b1_cached is the hop — the router's handler, and Remote's one
+	// write and one read with the input text forwarded as it arrived.
+	// -compare holds http_b1_cached to http_b1_empty plus 0.6 ×
+	// wire_decode_768, and route_b1_cached to 2.5 × http_b1_cached in time
+	// and to http_b1_cached + 8 KiB in bytes; the three runs alternate.
+	trio := fastest(
 		func(b *testing.B) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				io.Copy(io.Discard, r.Body) //nolint:errcheck — a failed read shows as a failed POST
@@ -445,45 +482,18 @@ func writeBenchBaseline(path string) error {
 			postRepeats(b, ts.URL, false)
 		},
 		func(b *testing.B) { postRepeats(b, newCachedReplica(b).URL+"/infer", true) },
+		func(b *testing.B) { postRepeats(b, newRouterFront(b), true) },
 	)
-	put(results, "http_b1_empty", 0, pair[0])
-	put(results, "http_b1_cached", 0, pair[1])
+	put(results, "http_b1_empty", 0, trio[0])
+	put(results, "http_b1_cached", 0, trio[1])
+	put(results, "route_b1_cached", 0, trio[2])
 
-	// The miss beside http_b1_cached: the same handler and server, every
-	// body a new input — read, digested (the memo's pass, for nothing),
-	// parsed, keyed once, walked up four rungs and published.
-	record(results, "http_b1_cold", 0, func(b *testing.B) {
-		body := newInferBody(b)
-		open := bytes.IndexByte(body, '[') + 1
-		rest := body[open+bytes.IndexByte(body[open:], ','):]
-		fresh := make([]byte, 0, len(body)+20)
-		postEach(b, newCachedReplica(b).URL+"/infer", func(i int) []byte {
-			// The first element becomes the iteration's number.
-			fresh = strconv.AppendInt(append(fresh[:0], body[:open]...), int64(i), 10)
-			return append(fresh, rest...)
-		}, func(answer []byte) bool {
-			return bytes.Contains(answer, []byte(`"subnet":4`)) && !bytes.Contains(answer, []byte(`"cache_hit"`))
-		})
-	})
-
-	// The same answer through a router: the production handler over
-	// Router.Submit with a real Remote to the replica above. The delta
-	// over http_b1_cached is the hop — a second read and decode, and
-	// the input text forwarded rather than re-encoded.
-	record(results, "route_b1_cached", 0, func(b *testing.B) {
-		ro, err := cluster.NewRouter(cluster.RouterConfig{
-			Backends:        []cluster.Backend{cluster.NewRemote(newCachedReplica(b).URL)},
-			DefaultDeadline: time.Second,
-			ProbeInterval:   -1, // the stand-in replica mounts /infer only
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ro.Close()
-		router := httptest.NewServer(&cluster.InferHandler{Submit: ro.Submit})
-		defer router.Close()
-		postRepeats(b, router.URL+"/infer", true)
-	})
+	// The misses beside them: the same handler and server, and the same
+	// router, every body a new input — read, digested (the memo's pass,
+	// for nothing), parsed, keyed once, walked up four rungs and
+	// published; through the router, read and parsed on both sides.
+	record(results, "http_b1_cold", 0, func(b *testing.B) { postCold(b, newCachedReplica(b).URL+"/infer") })
+	record(results, "route_b1_cold", 0, func(b *testing.B) { postCold(b, newRouterFront(b)) })
 
 	out := benchBaseline{
 		GoVersion: runtime.Version(),

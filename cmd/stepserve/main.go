@@ -558,7 +558,6 @@ func newMux(a *app) *http.ServeMux {
 		Submit:   func(req serve.Request) (serve.Result, error) { return a.srv.Load().Submit(req) },
 		InputLen: func() int { m := a.m.Load(); return m.InC * m.InH * m.InW },
 		Fallback: a.randomInput, // smoke-test convenience
-		Recycle:  true,
 	})
 	return mux
 }

@@ -2,8 +2,9 @@
 // is the robustness tier between callers and N stepserve replicas.
 // The dispatch seam is the transport-agnostic Backend interface —
 // implemented by Local (an in-process serve.Server) and Remote (an
-// HTTP replica) — so one code path serves both, and everything above
-// it composes: a Router spreads requests least-backlog-first over the
+// HTTP replica, which it speaks to itself) — so one code path serves
+// both, and everything above it composes: a Router spreads requests
+// least-backlog-first over the
 // replicas' exported Snapshot EWMAs, actively health-checks each one
 // (/healthz probe loop with exponential backoff, re-admission only
 // after consecutive successes), wraps each in a circuit breaker
@@ -22,7 +23,8 @@
 // handler, InferHandler; its codec recognises an input text it has
 // parsed before and submits the request keyed and unparsed
 // (serve.Request.Keyed, serve.ErrInputNeeded), so a hot repeat crosses
-// router and replica without a float being read.
+// router and replica without a float being read; its answer is
+// written and read back by the codec, without encoding/json.
 package cluster
 
 import (
@@ -61,7 +63,10 @@ type Backend interface {
 	// scheduling, which answers within the request deadline by
 	// construction). Errors are typed: serve.ErrOverloaded and
 	// serve.ErrClosed pass through wrapped, transport-level failures
-	// wrap ErrTransport.
+	// wrap ErrTransport. Submit is done with req's slices (Input,
+	// InputJSON) when it returns, whatever it returns — a caller may
+	// reuse them at once, as InferHandler's pool does — and keeps no
+	// goroutine that reads them.
 	Submit(ctx context.Context, req serve.Request) (serve.Result, error)
 	// Stats returns the replica's serving snapshot — the queue
 	// gauges, service-time EWMA and calibration constants the router
@@ -155,12 +160,5 @@ func walkFloor(snap serve.Snapshot) time.Duration {
 	for i, msv := range snap.StepTimeMs {
 		lm.StepTime[i] = time.Duration(msv * float64(time.Millisecond))
 	}
-	min := snap.MinSubnet
-	if min < 1 {
-		min = 1
-	}
-	if min > len(lm.StepTime) {
-		min = len(lm.StepTime)
-	}
-	return lm.WalkTime(min)
+	return lm.WalkTime(min(max(snap.MinSubnet, 1), len(lm.StepTime)))
 }

@@ -220,24 +220,28 @@ func TestClusterChaosKillOneReplica(t *testing.T) {
 		}()
 	}
 
-	// Wait until the storm is really pressing on the cluster's queues.
+	// Wait until the storm is really pressing on the cluster: replicas
+	// refusing low-priority work because their queue shares are full. A
+	// queue length is the wrong thing to wait for: once a cache-armed
+	// replica the key pins holds the input's top rung it answers the
+	// repeats before its queue, so queues can stay short for the rest of
+	// the storm while the replicas the spill feeds go on refusing.
+	refusals := func() (n int64) {
+		for _, r := range ro.Stats().Replicas {
+			n += r.Rejected
+		}
+		return n
+	}
 	waitUntil := time.Now().Add(5 * time.Second)
-	for {
-		st := ro.Stats()
-		backlog := 0
-		for _, r := range st.Replicas {
-			backlog += r.QueueLen
-		}
-		if backlog >= 8 {
-			break
-		}
+	for refusals() < lowWorkers {
 		if time.Now().After(waitUntil) {
 			close(stop)
 			wg.Wait()
-			t.Fatal("low-priority backlog never built up")
+			t.Fatalf("the storm never pressed: %d low-priority refusals", refusals())
 		}
 		time.Sleep(time.Millisecond)
 	}
+	pressed := refusals()
 
 	// The protected class: 100 sequential requests; replica0 is killed
 	// abruptly after the 30th — crash injection first (every in-flight
@@ -345,8 +349,11 @@ func TestClusterChaosKillOneReplica(t *testing.T) {
 	if st.Served+st.Failed != st.Submitted {
 		t.Fatalf("router accounting: served %d + failed %d != submitted %d", st.Served, st.Failed, st.Submitted)
 	}
-	if lowShed.Load() == 0 {
-		t.Fatal("a 40-submitter storm over a capped cluster must shed low-priority traffic")
+	// The pressure lasted the whole storm. (Clients need not see it: an
+	// attempt refused on the replica the spill fed is retried, and the
+	// replica the key pins may answer it from its cache.)
+	if refusals() <= pressed {
+		t.Fatalf("no low-priority work was refused after the first %d refusals: the storm stopped pressing", pressed)
 	}
 	// Per-replica exact accounting: every dispatch resolved to exactly
 	// one of the four outcome counters — including the bad_input arm,

@@ -14,17 +14,18 @@ import (
 	"steppingnet/internal/serve/cache"
 )
 
-// The POST /infer request codec: one hand-written reader and one
-// writer for InferRequest, used by everything that touches that
-// payload (the shared handler, Remote, any json caller through
-// UnmarshalJSON). The reader accepts exactly what encoding/json
+// The POST /infer codec: one hand-written reader and one writer for
+// each of InferRequest and InferResponse, used by everything that
+// touches those payloads (the shared handler, Remote, any json caller
+// through UnmarshalJSON). A reader accepts exactly what encoding/json
 // accepts for the same struct and produces bitwise the same values —
-// FuzzDecodeInferRequest pins the two together — plus one rule
-// encoding/json's streaming Decoder does not have: nothing but
-// whitespace may follow the object. Numbers are read once: the pass
-// that checks a token's grammar gathers its digits, parseFloat rounds
-// them exactly (Eisel–Lemire) and leaves to strconv, on the same
-// token, only what it cannot decide.
+// FuzzDecodeInferRequest and FuzzDecodeInferResponse pin the pairs
+// together — plus one rule encoding/json's streaming Decoder does not
+// have: nothing but whitespace may follow the object. The answer
+// writer's bytes are json.NewEncoder(w).Encode's. Numbers are read
+// once: the pass that checks a token's grammar gathers its digits,
+// parseFloat rounds them exactly (Eisel–Lemire) and leaves to strconv,
+// on the same token, only what it cannot decide.
 
 // jsonMaxDepth is encoding/json's nesting bound, counted in open
 // containers including the request object itself.
@@ -37,6 +38,15 @@ func (r *InferRequest) UnmarshalJSON(body []byte) error {
 	_, err := r.decode(body, r.Input, nil)
 	return err
 }
+
+// requestFields are InferRequest's JSON names: fieldInput,
+// fieldDeadline, then priority.
+var requestFields = []string{"input", "deadline_ms", "priority"}
+
+const (
+	fieldInput = iota
+	fieldDeadline
+)
 
 // inputText is what decode learned about the input array besides its
 // values: text, the byte range of the body holding it, for a transport
@@ -68,62 +78,34 @@ type inputText struct {
 // input key still wins; the skipped numbers are read first then, since
 // a null element of the later array keeps the earlier one's value.
 func (r *InferRequest) decode(b []byte, scratch []float64, memo *textMemo) (in inputText, err error) {
-	i := skipSpace(b, 0)
-	if bytes.HasPrefix(b[i:], nullLit) {
-		return in, endOfBody(b, i+len(nullLit))
-	}
-	if i == len(b) || b[i] != '{' {
-		return in, codecErr(b, i, "want a JSON object")
-	}
 	slots := floatSlots{buf: scratch[:cap(scratch)], live: len(scratch)}
 	skipped := -1 // where an array the memo knew starts, its numbers unread
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == '}' {
-		return in, endOfBody(b, i+1)
-	}
-	for {
-		if i == len(b) || b[i] != '"' {
-			return inputText{}, codecErr(b, i, "want an object key")
-		}
-		end, ok := scanString(b, i)
-		if !ok {
-			return inputText{}, codecErr(b, end, "bad string")
-		}
-		field := inferField(b[i+1 : end-1])
-		i = skipSpace(b, end)
-		if i == len(b) || b[i] != ':' {
-			return inputText{}, codecErr(b, i, "want ':' after an object key")
-		}
-		i = skipSpace(b, i+1)
-		isNull := bytes.HasPrefix(b[i:], nullLit)
+	err = decodeObject(b, requestFields, func(field, i int) (int, error) {
 		if field == fieldInput && skipped >= 0 {
-			if _, _, _, err = slots.decode(b, skipped); err != nil {
-				return inputText{}, err
+			if _, _, _, err := slots.decode(b, skipped); err != nil {
+				return i, err
 			}
 			skipped = -1
 		}
 		switch {
-		case field == fieldUnknown:
-			if i, err = skipValue(b, i, 1); err != nil {
-				return inputText{}, err
+		case bytes.HasPrefix(b[i:], nullLit):
+			if field == fieldInput {
+				// encoding/json drops the slice, backing array and all.
+				r.Input, in, slots.live = nil, inputText{}, 0
 			}
-		case isNull && field == fieldInput:
-			// encoding/json drops the slice, backing array and all.
-			r.Input, in, slots.live = nil, inputText{}, 0
-			i += len(nullLit)
-		case isNull:
-			i += len(nullLit)
+			return i + len(nullLit), nil
 		case field == fieldInput:
-			start, pure := i, false
+			start := i
 			mark, closer := memo.mark(b, i)
 			if in.key, in.keyed = memo.lookup(mark); in.keyed {
-				r.Input, in.text, skipped, i = nil, b[start:closer], start, closer
-				break
+				r.Input, in.text, skipped = nil, b[start:closer], start
+				return closer, nil
 			}
-			if r.Input, pure, i, err = slots.decode(b, i); err != nil {
-				return inputText{}, err
+			input, pure, i, err := slots.decode(b, i)
+			if err != nil {
+				return i, err
 			}
-			in.text = nil
+			r.Input, in.text = input, nil
 			if pure {
 				in.text = b[start:i]
 			}
@@ -131,22 +113,55 @@ func (r *InferRequest) decode(b []byte, scratch []float64, memo *textMemo) (in i
 				in.key, in.keyed = cache.KeyOf(r.Input), true
 				memo.store(mark, in.key)
 			}
-		default:
-			var end int
-			if field == fieldDeadline {
-				r.DeadlineMs, end, err = parseFloat(b, i)
-			} else if end = scanNumber(b, i); end >= 0 {
-				var p int64
-				p, err = strconv.ParseInt(string(b[i:end]), 10, 0)
-				r.Priority = int(p)
-			}
-			if end < 0 {
-				return inputText{}, codecErr(b, i, "want a number")
-			}
-			if err != nil {
-				return inputText{}, codecErr(b, i, "number does not fit its field")
-			}
-			i = end
+			return i, nil
+		case field == fieldDeadline:
+			return decodeNumber(b, i, &r.DeadlineMs)
+		}
+		return decodeNumber(b, i, &r.Priority)
+	})
+	if err != nil {
+		return inputText{}, fmt.Errorf("infer request: %w", err)
+	}
+	return in, nil
+}
+
+// decodeObject reads the JSON object b holds (a top-level null names
+// nothing). For a key encoding/json would match to one of names, member
+// reads the value at i and returns the offset past it; other keys'
+// values are checked and skipped. Only whitespace may follow.
+func decodeObject(b []byte, names []string, member func(field, i int) (int, error)) error {
+	i := skipSpace(b, 0)
+	if bytes.HasPrefix(b[i:], nullLit) {
+		return endOfBody(b, i+len(nullLit))
+	}
+	if i == len(b) || b[i] != '{' {
+		return codecErr(b, i, "want a JSON object")
+	}
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == '}' {
+		return endOfBody(b, i+1)
+	}
+	for {
+		if i == len(b) || b[i] != '"' {
+			return codecErr(b, i, "want an object key")
+		}
+		end, ok := scanString(b, i)
+		if !ok {
+			return codecErr(b, end, "bad string")
+		}
+		field := fieldIndex(b[i+1:end-1], names)
+		i = skipSpace(b, end)
+		if i == len(b) || b[i] != ':' {
+			return codecErr(b, i, "want ':' after an object key")
+		}
+		var err error
+		if i = skipSpace(b, i+1); field < 0 {
+			i, err = skipValue(b, i, 1)
+		} else {
+			i, err = member(field, i)
+		}
+		if err != nil {
+			return err
 		}
 		i = skipSpace(b, i)
 		if i < len(b) && b[i] == ',' {
@@ -154,10 +169,34 @@ func (r *InferRequest) decode(b []byte, scratch []float64, memo *textMemo) (in i
 			continue
 		}
 		if i < len(b) && b[i] == '}' {
-			return in, endOfBody(b, i+1)
+			return endOfBody(b, i+1)
 		}
-		return inputText{}, codecErr(b, i, "want ',' or '}' in the object")
+		return codecErr(b, i, "want ',' or '}' in the object")
 	}
+}
+
+// decodeNumber reads the JSON number at b[i] into *dst, a float64 or
+// an integer field, as encoding/json stores one there (an integer takes
+// no fraction or exponent, and must fit), returning the offset past it.
+func decodeNumber(b []byte, i int, dst any) (int, error) {
+	end, err := scanNumber(b, i), error(nil)
+	if end < 0 {
+		return i, codecErr(b, i, "want a number")
+	}
+	switch p := dst.(type) {
+	case *float64:
+		*p, _, err = parseFloat(b, i)
+	case *int64:
+		*p, err = strconv.ParseInt(string(b[i:end]), 10, 64)
+	case *int:
+		var n int64
+		n, err = strconv.ParseInt(string(b[i:end]), 10, 0)
+		*p = int(n)
+	}
+	if err != nil {
+		return i, codecErr(b, i, "number does not fit its field")
+	}
+	return end, nil
 }
 
 // floatSlots is the storage an input array decodes into. buf[:live]
@@ -176,7 +215,7 @@ type floatSlots struct {
 // array's text says all there is to say about its values.
 func (s *floatSlots) decode(b []byte, i int) (vals []float64, pure bool, end int, err error) {
 	if i == len(b) || b[i] != '[' {
-		return nil, false, i, codecErr(b, i, "input: want an array of numbers")
+		return nil, false, i, codecErr(b, i, "want an array of numbers")
 	}
 	i = skipSpace(b, i+1)
 	if i < len(b) && b[i] == ']' {
@@ -201,9 +240,9 @@ func (s *floatSlots) decode(b []byte, i int) (vals []float64, pure bool, end int
 		} else {
 			var stop int
 			if s.buf[n], stop, err = parseFloat(b, i); stop < 0 {
-				return nil, false, i, codecErr(b, i, "input: want a number")
+				return nil, false, i, codecErr(b, i, "want a number in the array")
 			} else if err != nil {
-				return nil, false, i, codecErr(b, i, "input: number out of float64 range")
+				return nil, false, i, codecErr(b, i, "number out of float64 range")
 			}
 			i = stop
 		}
@@ -217,41 +256,28 @@ func (s *floatSlots) decode(b []byte, i int) (vals []float64, pure bool, end int
 		if i < len(b) && b[i] == ']' {
 			return s.buf[:n], pure, i + 1, nil
 		}
-		return nil, false, i, codecErr(b, i, "input: want ',' or ']'")
+		return nil, false, i, codecErr(b, i, "want ',' or ']' in the array")
 	}
 }
 
 var nullLit = []byte("null")
 
-const (
-	fieldUnknown = iota
-	fieldInput
-	fieldDeadline
-	fieldPriority
-)
-
-// inferField maps an object key (the bytes between its quotes) to the
-// field encoding/json would store it in.
-func inferField(key []byte) int {
-	switch string(key) {
-	case "input":
-		return fieldInput
-	case "deadline_ms":
-		return fieldDeadline
-	case "priority":
-		return fieldPriority
+// fieldIndex maps an object key (the bytes between its quotes) to the
+// index of the name encoding/json would store it under, or -1.
+func fieldIndex(key []byte, names []string) int {
+	for f, name := range names {
+		if string(key) == name {
+			return f
+		}
 	}
 	var arr [32]byte
-	name := unquoteKey(arr[:0], key)
-	switch {
-	case bytes.EqualFold(name, []byte("input")):
-		return fieldInput
-	case bytes.EqualFold(name, []byte("deadline_ms")):
-		return fieldDeadline
-	case bytes.EqualFold(name, []byte("priority")):
-		return fieldPriority
+	folded := unquoteKey(arr[:0], key)
+	for f, name := range names {
+		if bytes.EqualFold(folded, []byte(name)) {
+			return f
+		}
 	}
-	return fieldUnknown
+	return -1
 }
 
 // unquoteKey appends key with its escapes resolved, enough for a
@@ -503,7 +529,7 @@ func isHex(c byte) bool {
 }
 
 // skipValue validates the JSON value at b[i] — the value of a key the
-// request does not define — and returns the offset past it. depth
+// payload does not define — and returns the offset past it. depth
 // counts the containers already open around it.
 func skipValue(b []byte, i, depth int) (int, error) {
 	if i == len(b) {
@@ -567,19 +593,19 @@ func skipValue(b []byte, i, depth int) (int, error) {
 	return i, codecErr(b, i, "want a value")
 }
 
-// endOfBody checks that only whitespace follows the request value.
+// endOfBody checks that only whitespace follows the decoded value.
 func endOfBody(b []byte, i int) error {
 	if i = skipSpace(b, i); i != len(b) {
-		return codecErr(b, i, "data after the request object")
+		return codecErr(b, i, "data after the object")
 	}
 	return nil
 }
 
 func codecErr(b []byte, i int, msg string) error {
 	if i >= len(b) {
-		return fmt.Errorf("infer request: %s at offset %d, where the body ends", msg, i)
+		return fmt.Errorf("%s at offset %d, where the body ends", msg, i)
 	}
-	return fmt.Errorf("infer request: %s at offset %d, found %q", msg, i, b[i])
+	return fmt.Errorf("%s at offset %d, found %q", msg, i, b[i])
 }
 
 // appendInferRequest appends the wire form of req: the input as the
@@ -616,4 +642,113 @@ func appendInferRequest(dst []byte, req serve.Request) ([]byte, error) {
 		dst = dst[:len(dst)-1]
 	}
 	return append(dst, '}'), nil
+}
+
+// answerFields are InferResponse's JSON names, in its field order; the
+// last three, its flags, are omitted when false. fields points at the
+// fields of r in the same order, for the answer writer and reader.
+var answerFields = [...]string{"subnet", "pred", "logits", "macs", "priority", "deadline_met",
+	"queue_wait_ms", "latency_ms", "cache_hit", "resumed", "early_exit"}
+
+func (r *InferResponse) fields() [len(answerFields)]any {
+	return [...]any{&r.Subnet, &r.Pred, &r.Logits, &r.MACs, &r.Priority, &r.DeadlineMet,
+		&r.QueueWaitMs, &r.LatencyMs, &r.CacheHit, &r.Resumed, &r.EarlyExit}
+}
+
+// appendInferResponse appends res as json.NewEncoder(w).Encode writes
+// it, byte for byte: field order, omitempty, number forms and the
+// trailing newline. A value that is not finite — logits an overflowing
+// input drove to NaN — has no JSON form, and the error names it.
+func appendInferResponse(dst []byte, res InferResponse) ([]byte, error) {
+	sep := byte('{')
+	for f, p := range res.fields() {
+		if flag, ok := p.(*bool); ok && f >= len(answerFields)-3 && !*flag {
+			continue
+		}
+		dst = append(append(append(dst, sep, '"'), answerFields[f]...), '"', ':')
+		sep = ','
+		switch p := p.(type) {
+		case *int:
+			dst = strconv.AppendInt(dst, int64(*p), 10)
+		case *int64:
+			dst = strconv.AppendInt(dst, *p, 10)
+		case *bool:
+			dst = strconv.AppendBool(dst, *p)
+		case *float64:
+			if dst = appendFloat(dst, *p); math.IsNaN(*p) || math.IsInf(*p, 0) {
+				return dst, fmt.Errorf("%s is %v, which JSON cannot carry", answerFields[f], *p)
+			}
+		case *[]float64:
+			if *p == nil {
+				dst = append(dst, nullLit...)
+				break
+			}
+			dst = append(dst, '[')
+			for i, v := range *p {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				if dst = appendFloat(dst, v); math.IsNaN(v) || math.IsInf(v, 0) {
+					return dst, fmt.Errorf("logits[%d] is %v, which JSON cannot carry", i, v)
+				}
+			}
+			dst = append(dst, ']')
+		}
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// appendFloat appends f as encoding/json writes a float64 — the ES6
+// number form: shortest round trip, an exponent only below 1e-6 and
+// from 1e21, written e-7 rather than e-07.
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// decodeInferResponse reads an answer the way encoding/json reads one
+// into a zero InferResponse, with the request reader's grammar, key
+// matching and numbers (FuzzDecodeInferResponse pins the two together)
+// and nothing but whitespace after it. Logits is its one allocation.
+func decodeInferResponse(b []byte) (res InferResponse, err error) {
+	fields := res.fields()
+	var logits floatSlots
+	err = decodeObject(b, answerFields[:], func(field, i int) (int, error) {
+		if bytes.HasPrefix(b[i:], nullLit) {
+			// encoding/json leaves a field alone, but drops a slice.
+			if p, ok := fields[field].(*[]float64); ok {
+				*p, logits.live = nil, 0
+			}
+			return i + len(nullLit), nil
+		}
+		var err error
+		switch p := fields[field].(type) {
+		case *[]float64:
+			*p, _, i, err = logits.decode(b, i)
+		case *float64, *int64, *int:
+			i, err = decodeNumber(b, i, p)
+		case *bool:
+			switch {
+			case bytes.HasPrefix(b[i:], []byte("true")):
+				*p, i = true, i+len("true")
+			case bytes.HasPrefix(b[i:], []byte("false")):
+				*p, i = false, i+len("false")
+			default:
+				err = codecErr(b, i, "want true or false")
+			}
+		}
+		return i, err
+	})
+	if err != nil {
+		return InferResponse{}, fmt.Errorf("infer answer: %w", err)
+	}
+	return res, nil
 }

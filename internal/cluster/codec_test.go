@@ -347,6 +347,134 @@ func FuzzDecodeInferRequest(f *testing.F) {
 	})
 }
 
+// referenceAnswer is how Remote read an answer before the codec, plus
+// the trailing-data rule: encoding/json into InferResponse, then
+// nothing but whitespace.
+func referenceAnswer(body []byte) (InferResponse, error) {
+	var ans InferResponse
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := dec.Decode(&ans); err != nil {
+		return ans, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ans, fmt.Errorf("data after the answer object")
+	}
+	return ans, nil
+}
+
+// checkAnswer fails t unless decodeInferResponse and encoding/json
+// agree on body — both reject, or both accept with the same answer,
+// logits bitwise and nil-ness included — and, on accept, unless
+// appendInferResponse writes that answer byte for byte as
+// json.NewEncoder(w).Encode does.
+func checkAnswer(t *testing.T, body []byte) {
+	t.Helper()
+	want, wantErr := referenceAnswer(body)
+	got, gotErr := decodeInferResponse(body)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("accept/reject differs on %q:\n  codec: %v\n  encoding/json: %v", body, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if (got.Logits == nil) != (want.Logits == nil) {
+		t.Fatalf("logits differ on %q: codec %v, encoding/json %v", body, got.Logits, want.Logits)
+	}
+	sameInput(t, body, "encoding/json", got.Logits, want.Logits)
+	if got.Subnet != want.Subnet || got.Pred != want.Pred || got.MACs != want.MACs || got.Priority != want.Priority ||
+		got.DeadlineMet != want.DeadlineMet || got.CacheHit != want.CacheHit || got.Resumed != want.Resumed || got.EarlyExit != want.EarlyExit ||
+		math.Float64bits(got.QueueWaitMs) != math.Float64bits(want.QueueWaitMs) || math.Float64bits(got.LatencyMs) != math.Float64bits(want.LatencyMs) {
+		t.Fatalf("answer differs on %q:\n  codec: %+v\n  encoding/json: %+v", body, got, want)
+	}
+	checkAnswerWriter(t, got)
+}
+
+// checkAnswerWriter fails t unless appendInferResponse writes ans as
+// json.NewEncoder(w).Encode does — or, for a value encoding/json
+// refuses, refuses it too.
+func checkAnswerWriter(t *testing.T, ans InferResponse) {
+	t.Helper()
+	var enc bytes.Buffer
+	encErr := json.NewEncoder(&enc).Encode(ans)
+	out, err := appendInferResponse([]byte("prefix"), ans)
+	if (err == nil) != (encErr == nil) {
+		t.Fatalf("%+v: the writer says %v, encoding/json %v", ans, err, encErr)
+	}
+	if err == nil && string(out) != "prefix"+enc.String() {
+		t.Fatalf("%+v: the writer wrote\n  %q\nencoding/json\n  %q", ans, out[len("prefix"):], enc.Bytes())
+	}
+}
+
+// answerSeeds are the shapes the committed answer corpus starts from:
+// what replicas write, then every field form encoding/json has an
+// opinion on.
+func answerSeeds() [][]byte {
+	var written []string
+	for _, res := range []serve.Result{
+		{Subnet: 4, Pred: 3, Logits: []float64{-1.25, 0, 3e-7, 1e21, 0.1}, MACs: 123456, Priority: 1, DeadlineMet: true,
+			QueueWait: 1234567 * time.Nanosecond, Latency: 2 * time.Millisecond, CacheHit: true, Resumed: true, EarlyExit: true},
+		{Subnet: 1, Logits: []float64{}, QueueWait: time.Nanosecond},
+		{Pred: -1, MACs: -7, Priority: -2, Latency: 1<<63 - 1},
+		{},
+	} {
+		var b bytes.Buffer
+		json.NewEncoder(&b).Encode(WireResponse(res)) //nolint:errcheck — finite by construction
+		written = append(written, b.String())
+	}
+	seeds := append(written,
+		`null`, `{}`, ` { } `, `[]`, `{"logits":null}`, `{"logits":[]}`, `{"logits":[null]}`, `{"logits":[1,null,3]}`,
+		`{"logits":[5,6,7],"logits":[null,null]}`, `{"logits":[5,6,7],"logits":[1],"logits":[null,null,null,null]}`,
+		`{"logits":[5,6],"logits":[],"logits":[null]}`, `{"logits":[5,6],"logits":null,"logits":[null]}`,
+		`{"logits":"1"}`, `{"logits":{}}`, `{"logits":[[1]]}`, `{"logits":[true]}`, `{"logits":1}`,
+		`{"SUBNET":2,"Pred":1,"Cache_Hit":true,"DEADLINE_MET":false,"Logits":[1]}`, "{\"macſ\":3}", `{"subnet":1,"unknown":{"a":[1,{"b":null}]},"x":"y"}`,
+		`{"deadline_met":true,"deadline_met":null}`, `{"deadline_met":1}`, `{"deadline_met":"true"}`, `{"deadline_met":tru}`,
+		`{"cache_hit":false}`, `{"cache_hit":truex}`, `{"resumed":nul}`, `{"early_exit":[true]}`,
+		`{"subnet":1.0}`, `{"subnet":1e2}`, `{"subnet":-0}`, `{"subnet":"1"}`, `{"subnet":null}`, `{"subnet":01}`,
+		`{"subnet":9223372036854775807}`, `{"subnet":9223372036854775808}`, `{"macs":-9223372036854775808}`, `{"macs":-9223372036854775809}`,
+		`{"queue_wait_ms":"1"}`, `{"latency_ms":null}`, `{"latency_ms":-0}`, `{"queue_wait_ms":true}`,
+		`{"subnet":1}garbage`, `{"subnet":1} {}`, `{"subnet":1`, `{"subnet":1,}`, `{"subnet"}`, `{"subnet":}`, ``, `{`,
+	)
+	for _, num := range append([]string{`1e-7`, `1e-6`, `9.999999e20`, `1e21`, `123456789`, `-0.0`, `0.1`}, hardNumbers...) {
+		seeds = append(seeds, `{"logits":[`+num+`],"queue_wait_ms":`+num+`}`, `{"latency_ms":`+num+`,"macs":`+num+`}`)
+	}
+	out := make([][]byte, len(seeds))
+	for i, s := range seeds {
+		out[i] = []byte(s)
+	}
+	return out
+}
+
+// TestAnswerCodecMatchesEncodingJSON walks the answer seeds through
+// the differential check, and the writer over the values replicas
+// write and the ones JSON cannot carry.
+func TestAnswerCodecMatchesEncodingJSON(t *testing.T) {
+	for _, body := range answerSeeds() {
+		checkAnswer(t, body)
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, 1e-6, 9.999999999999999e-7, 1e21, 999999999999999900000,
+		-1e-7, 1.5e300, 0.30000000000000004, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		checkAnswerWriter(t, InferResponse{Logits: []float64{1, v}})
+		checkAnswerWriter(t, InferResponse{QueueWaitMs: v, LatencyMs: -v, CacheHit: true})
+	}
+	if _, err := appendInferResponse(nil, InferResponse{Logits: []float64{1, math.NaN()}}); err == nil || !strings.Contains(err.Error(), "logits[1] is NaN") {
+		t.Fatalf("a NaN logit: %v, want an error naming logits[1]", err)
+	}
+}
+
+// FuzzDecodeInferResponse is the answer codec's contract: for any byte
+// string the reader and encoding/json (into InferResponse, then the
+// no-trailing-data rule) agree on accept or reject, and on accept on
+// every field, bitwise; and the writer writes what it read back exactly
+// as json.NewEncoder(w).Encode does.
+func FuzzDecodeInferResponse(f *testing.F) {
+	for _, s := range answerSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkAnswer(t, body)
+	})
+}
+
 func BenchmarkDecodeInferRequest(b *testing.B) {
 	body, _ := benchBody(768)
 	b.Run("codec", func(b *testing.B) {

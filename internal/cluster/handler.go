@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"net/http"
 	"strconv"
@@ -24,7 +22,9 @@ const PriorityHeader = "X-Priority"
 // over its serve.Server, a router over its Router. Everything the two
 // share — the method and readiness gates, the bounded body read, the
 // request codec, the X-Priority header, the error → status map, the
-// answer encoding — lives here and nowhere else.
+// answer codec — lives here and nowhere else. A request's buffers come
+// from a pool and go back when the handler returns, so Submit must be
+// done with the request's slices when it returns, as every Backend is.
 type InferHandler struct {
 	// NotReady returns why the process takes no work right now
 	// (starting, draining), or "" when it does. A reason is a 503. Nil
@@ -41,13 +41,6 @@ type InferHandler struct {
 	// Fallback supplies the input of a request that carries none
 	// (smoke tests). Nil passes the absent input on to Submit.
 	Fallback func(n int) []float64
-	// Recycle declares that Submit is done with the request's slices
-	// when it returns, so the body and input buffers go back to a pool.
-	// serve.Server.Submit keeps that promise (a worker reads the input
-	// only before it answers). Router.Submit cannot: an abandoned hedge
-	// or retry may still be sending the bytes after the winner's answer
-	// has come back, so a router leaves its buffers to the GC.
-	Recycle bool
 
 	// memo recognises input texts this handler has parsed before.
 	memo textMemo
@@ -90,11 +83,12 @@ func submitText(submit func(serve.Request) (serve.Result, error), req serve.Requ
 	return res, req.Input, err
 }
 
-// inferBufs are one request's read buffers: the raw body and the
-// decoded input. Whoever Gets them owns them until Put.
+// inferBufs are one request's buffers: the raw body, the decoded input
+// and the written answer. Whoever Gets them owns them until Put.
 type inferBufs struct {
-	body  bytes.Buffer
-	input []float64
+	body   bytes.Buffer
+	input  []float64
+	answer []byte
 }
 
 var inferPool = sync.Pool{New: func() any { return new(inferBufs) }}
@@ -117,11 +111,8 @@ func (h *InferHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n = h.InputLen()
 		limit = max(int64(n)*32+4096, 1<<20) // the floor keeps room for metadata on tiny models
 	}
-	bufs := new(inferBufs)
-	if h.Recycle {
-		bufs = inferPool.Get().(*inferBufs)
-		defer inferPool.Put(bufs)
-	}
+	bufs := inferPool.Get().(*inferBufs)
+	defer inferPool.Put(bufs)
 	// One buffer of the declared length (plus the spare ReadFrom wants
 	// before it can see EOF) instead of a doubling series; a length
 	// declared over the limit is refused before a byte of it is read.
@@ -158,14 +149,19 @@ func (h *InferHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if cap(input) > cap(bufs.input) {
 		bufs.input = input
 	}
+	if err == nil {
+		// An input that overflows the model has an answer JSON cannot
+		// carry: a 400, which no router holds against the replica.
+		if bufs.answer, err = appendInferResponse(bufs.answer[:0], WireResponse(res)); err != nil {
+			err = fmt.Errorf("%w: no JSON answer: %v", serve.ErrBadInput, err)
+		}
+	}
 	if err != nil {
 		http.Error(w, err.Error(), inferStatus(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(WireResponse(res)); err != nil {
-		log.Printf("infer encode: %v", err)
-	}
+	w.Write(bufs.answer) //nolint:errcheck — a client gone mid-answer has nothing to be told
 }
 
 // inferStatus maps a Submit error to its documented HTTP status; the

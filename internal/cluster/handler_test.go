@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,7 +109,7 @@ func TestInferHandlerBufferReuse(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(&cluster.InferHandler{
 		Submit:   srv.Submit,
-		InputLen: func() int { return imgLen }, Recycle: true,
+		InputLen: func() int { return imgLen },
 	})
 	defer ts.Close()
 
@@ -194,11 +195,12 @@ func sameBits(a, b []float64) bool {
 
 // TestRouterHedgeKeepsRequestBytes is the router half of the
 // buffer-reuse contract. With hedging on and one of two replicas slow,
-// the hedge's answer returns Router.Submit — and the handler — while
-// the slow leg is still on its way to its replica; the witness reads
-// that leg's bytes only when it finally gets there. They must still be
-// the request's own, which is why a router-mode handler does not
-// recycle its buffers. Run with -race -count=10.
+// the hedge's answer returns Router.Submit — and the handler, which
+// puts the request's buffers back in its pool for the next request to
+// overwrite — while the slow leg is still on its way to its replica;
+// the witness reads that leg's bytes only when it finally gets there.
+// They must still be the request's own, which is why the hedge legs
+// read a copy. Run with -race -count=10.
 func TestRouterHedgeKeepsRequestBytes(t *testing.T) {
 	m := buildModel(902)
 	imgLen := m.InC * m.InH * m.InW
@@ -274,6 +276,65 @@ func TestRouterHedgeKeepsRequestBytes(t *testing.T) {
 			t.Fatal("abandoned hedge legs never finished")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOverflowingInputIsNotBreakerEvidence: an input that overflows
+// the model — every element 1e308, valid JSON — drives its logits to
+// NaN, which JSON cannot carry. The answer used to fail after the
+// handler had committed to a 200, so the client got a 200 with an empty
+// body, and through a Remote that empty body was a transport error:
+// breaker evidence, so five such requests took the only replica out of
+// the router for its cooldown. Now the handler answers 400 naming the
+// value, directly and through the router; the router counts bad inputs,
+// its breaker stays closed and the next good request is served.
+func TestOverflowingInputIsNotBreakerEvidence(t *testing.T) {
+	m := buildModel(951)
+	imgLen := m.InC * m.InH * m.InW
+	srv, err := serve.New(serve.Config{
+		Model: m, Subnets: 3, Workers: 1, Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	replica := httptest.NewServer(&cluster.InferHandler{Submit: srv.Submit, InputLen: func() int { return imgLen }})
+	defer replica.Close()
+	ro, err := cluster.NewRouter(cluster.RouterConfig{
+		Backends: []cluster.Backend{cluster.NewRemote(replica.URL)}, ProbeInterval: -1, DefaultDeadline: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	router := httptest.NewServer(&cluster.InferHandler{Submit: ro.Submit})
+	defer router.Close()
+
+	overflow := []byte(`{"input":[` + strings.Repeat("1e308,", imgLen-1) + `1e308]}`)
+	const sent = 6 // one past the breaker's default threshold
+	for _, hop := range []struct{ name, url string }{{"direct", replica.URL}, {"through the router", router.URL}} {
+		for i := 0; i < sent; i++ {
+			resp, err := http.Post(hop.url+"/infer", "application/json", bytes.NewReader(overflow))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "logits[0] is NaN") {
+				t.Fatalf("%s, overflowing input %d: status %d %q, want a 400 naming the logit", hop.name, i, resp.StatusCode, msg)
+			}
+		}
+	}
+	if rs := ro.Stats().Replicas[0]; rs.Breaker != "closed" || rs.BadInputs != sent || rs.TransportErrors != 0 {
+		t.Fatalf("after %d overflowing inputs the router holds the replica as %+v, want its breaker closed and %d bad inputs", sent, rs, sent)
+	}
+	in := inputVec(952, imgLen)
+	ans, err := postInfer(http.DefaultClient, router.URL, encodeInfer(t, in, 0))
+	if err != nil {
+		t.Fatalf("the good request after them: %v", err)
+	}
+	if ref := ladderLogits(t, m, in, 3); !sameBits(ans.Logits, ref[ans.Subnet]) {
+		t.Fatalf("the good request after them: rung %d logits are not the reference walk's", ans.Subnet)
 	}
 }
 

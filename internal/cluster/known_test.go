@@ -39,7 +39,7 @@ func newKnownReplica(t *testing.T, seed uint64, cacheEntries int) *knownReplica 
 	}
 	t.Cleanup(srv.Close)
 	r.srv = srv
-	r.ts = httptest.NewServer(&cluster.InferHandler{Submit: srv.Submit, InputLen: func() int { return r.imgLen }, Recycle: true})
+	r.ts = httptest.NewServer(&cluster.InferHandler{Submit: srv.Submit, InputLen: func() int { return r.imgLen }})
 	t.Cleanup(r.ts.Close)
 	return r
 }

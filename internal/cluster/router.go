@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -532,7 +534,7 @@ func (ro *Router) pick(tried []*replica, isRetry bool, absDeadline time.Time, ke
 	useAff := ro.cfg.Affinity && hasKey
 	for i := 0; i < n; i++ {
 		r := ro.replicas[(offset+i)%n]
-		if contains(tried, r) {
+		if slices.Contains(tried, r) {
 			continue
 		}
 		r.mu.Lock()
@@ -579,15 +581,6 @@ func (ro *Router) pick(tried []*replica, isRetry bool, absDeadline time.Time, ke
 		}
 	}
 	return nil
-}
-
-func contains(s []*replica, r *replica) bool {
-	for _, x := range s {
-		if x == r {
-			return true
-		}
-	}
-	return false
 }
 
 // attemptResult carries one dispatch outcome between the attempt
@@ -652,25 +645,13 @@ func (ro *Router) dispatch(r *replica, req serve.Request, absDeadline time.Time,
 // a hedge fires: the class's observed p99, or 0 (no hedging) while
 // the sample base is thin.
 func (ro *Router) hedgeDelay(class int) time.Duration {
-	if class < 0 {
-		class = 0
-	}
-	if class >= hedgeClassMax {
-		class = hedgeClassMax - 1
-	}
-	return ro.classLats[class].p99(ro.cfg.HedgeMinSamples)
+	return ro.classLats[min(max(class, 0), hedgeClassMax-1)].p99(ro.cfg.HedgeMinSamples)
 }
 
 // observeLatency feeds a served request's latency into its class's
 // hedge-trigger ring.
 func (ro *Router) observeLatency(class int, d time.Duration) {
-	if class < 0 {
-		class = 0
-	}
-	if class >= hedgeClassMax {
-		class = hedgeClassMax - 1
-	}
-	ro.classLats[class].push(d)
+	ro.classLats[min(max(class, 0), hedgeClassMax-1)].push(d)
 }
 
 // Submit routes one request through the cluster and blocks until an
@@ -759,11 +740,14 @@ func (ro *Router) Submit(req serve.Request) (serve.Result, error) {
 // appended to tried either way it resolves).
 func (ro *Router) dispatchHedged(r *replica, req serve.Request, absDeadline time.Time, tried *[]*replica, key uint64, hasKey bool) (attemptResult, bool) {
 	delay := ro.hedgeDelay(req.Priority)
+	if delay <= 0 {
+		return ro.dispatch(r, req, absDeadline, false, false), false
+	}
+	// The losing leg may read the request after Submit has returned and
+	// its caller reused the slices (see Backend): the legs get a copy.
+	req.Input, req.InputJSON = slices.Clone(req.Input), bytes.Clone(req.InputJSON)
 	primary := make(chan attemptResult, 1)
 	go func() { primary <- ro.dispatch(r, req, absDeadline, false, false) }()
-	if delay <= 0 {
-		return <-primary, false
-	}
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	select {
