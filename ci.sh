@@ -22,9 +22,10 @@
 # threshold — ±50% for the entries that cross the loopback — (ns/op is
 # not gated when the committed baseline came from a different GEMM
 # backend than this machine selects), and on the relations within the
-# new file (walk ≤ 1.10 × forward at batch 1; batch-8 walk ≤ 8 × 1.05 ×
-# batch-1 walk; request decode ≤ 0.6 × and cache key ≤ 0.05 ×
-# strconv.ParseFloat on the same 768 tokens; a recognised input text ≤
+# new file (walk ≤ 1.10 × forward at batch 1; batch-8 walk ≤ 8 × 0.75 ×
+# batch-1 walk on two cores or more, 8 × 1.05 × on one; request
+# decode ≤ 0.6 × and cache key ≤ 0.05 × strconv.ParseFloat on the
+# same 768 tokens; a recognised input text ≤
 # 0.15 × the decode; a cached hit over loopback ≤ the same POST to a
 # handler that discards it + 0.6 × the decode; the same hit through a
 # router ≤ 2.5 × it, and ≤ its bytes/op + 8 KiB), and on allocs/op
@@ -172,6 +173,16 @@ echo "== request buffers and the hop (both backends) =="
 HOP_TESTS='TestInferHandlerBufferReuse|TestRouterHedgeKeepsRequestBytes|TestRemote'
 go test -race -count=10 -run "$HOP_TESTS" ./internal/cluster
 STEPPINGNET_NOSIMD=1 go test -race -count=10 -run "$HOP_TESTS" ./internal/cluster
+
+echo "== shard hand-off (both backends) =="
+# Ten race runs each of what the engine's polling hand-off leans on: a
+# worker reads its mailbox only after the post, the caller reads the
+# stage rows only after the count of unfinished shards reaches zero, a
+# reused engine walks as a fresh one, and under one P nothing polls.
+# Which of poll or park wins varies from run to run.
+SHARD_HANDOFF_TESTS='TestImageShardingMatchesSerial|TestShardWorkersReleased|TestSmallStepsStaySerial|TestResetMatchesFreshEngine|TestShardingOnOneProc'
+go test -race -count=10 -run "$SHARD_HANDOFF_TESTS" ./internal/infer
+STEPPINGNET_NOSIMD=1 go test -race -count=10 -run "$SHARD_HANDOFF_TESTS" ./internal/infer
 
 echo "== router e2e smoke =="
 # Stand up three real replica processes (each with a TTL'd semantic

@@ -37,7 +37,8 @@ type benchBaseline struct {
 	GoVersion string                 `json:"go_version"`
 	GOARCH    string                 `json:"goarch"`
 	NumCPU    int                    `json:"num_cpu"`
-	Backend   string                 `json:"backend"` // tensor.Backend(): "avx2" or "scalar"
+	MaxProcs  int                    `json:"gomaxprocs,omitempty"` // runtime.GOMAXPROCS(0); absent in older files
+	Backend   string                 `json:"backend"`              // tensor.Backend(): "avx2" or "scalar"
 	Results   map[string]benchResult `json:"results"`
 }
 
@@ -499,6 +500,7 @@ func writeBenchBaseline(path string) error {
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
+		MaxProcs:  runtime.GOMAXPROCS(0),
 		Backend:   tensor.Backend(),
 		Results:   results,
 	}

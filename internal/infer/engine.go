@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"steppingnet/internal/nn"
@@ -43,9 +44,14 @@ import (
 // of two or more images are sharded by IMAGE over persistent workers
 // when a step is big enough to repay the hand-off (shardMinMACs): each
 // walks its contiguous rows through the whole plan, writing straight
-// into the shared stage buffers. Images are computed one at a time by
-// the same code either way, so the sharded walk is BITWISE identical to
-// the serial one at every worker count (TestImageShardingMatchesSerial).
+// into the shared stage buffers, and the split is static, so an image
+// stays with the worker that holds its kept activations. While there
+// is a core per shard, a worker polls briefly for its next job before
+// it parks, and the caller polls for the shards before it waits: the
+// hand-off between the steps of a walk costs no wake-up. Images are
+// computed one at a time by the same code either way, so the sharded
+// walk is BITWISE identical to the serial one at every worker count
+// (TestImageShardingMatchesSerial).
 type Engine struct {
 	net    *nn.Network
 	stages []stage
@@ -89,18 +95,37 @@ type Engine struct {
 	StageTimer func(stage, subnet int, d time.Duration)
 
 	// shards[0] is the calling goroutine's scratch; the others belong
-	// to the persistent shard workers, which are fed jobs over a
-	// channel (a `go` statement per Step would allocate its closure).
+	// to the persistent shard workers, mail[wi-1] feeding worker wi (a
+	// `go` statement per Step would allocate its closure).
 	shards       []*shard
 	minShardMACs int64 // shardMinMACs; tests that must shard a small model zero it
 	zLen         int
-	jobs         chan shardJob
-	wg           sync.WaitGroup // per-step fan-in barrier
+	mail         []*mailbox
+	pending      atomic.Int32   // shards of the current step still on the workers
+	wg           sync.WaitGroup // the same count, for a caller whose poll ran out
 	workerWG     sync.WaitGroup // tracks worker goroutine lifetimes for Close
-	started      int            // persistent shard workers spawned so far
 
 	totalMACs int64
 }
+
+// mailbox hands one persistent worker its jobs. The caller writes job
+// and posts it; a worker polling for work sees the post, a parked one
+// is also sent a token on wake.
+type mailbox struct {
+	job   shardJob
+	state atomic.Int32 // mailIdle, mailPosted or mailParked
+	wake  chan struct{}
+}
+
+const (
+	mailIdle   = iota // the worker is running a job or polling
+	mailPosted        // job holds the worker's next job
+	mailParked        // the worker waits on wake
+)
+
+// pollBudget is how long a worker polls for its next job, and a caller
+// for its shards, before parking: enough to span two steps' gap.
+const pollBudget = 100 * time.Microsecond
 
 // NewEngine compiles the network into a step plan. Conv2D and Dense
 // layers are stepped natively (fused with a following ReLU and
@@ -248,33 +273,44 @@ func (e *Engine) Step(s int) (*tensor.Tensor, int64, error) {
 }
 
 // shardMinMACs is the fan-out floor: a step is sharded only if every
-// shard gets this many MACs, because handing rows to a parked goroutine
-// and waiting for it is a fixed cost a small step cannot repay. On the
-// reference box (2 vCPUs, avx2), batch 8, 2 workers against 1, step by
-// step and by MACs per shard: the benchmark's LeNet-3C1L (0.15–0.45 M)
-// takes 7–30 % longer sharded, its walk 0.47 ms against 0.38; VGG-16
-// at 0.6–0.8 M anything from 11 % less to 23 % more; from 1.0 M up
-// (VGG-16 at 32×32, 1–10 M) every step takes 12–43 % less.
-const shardMinMACs = 1 << 20
+// shard gets this many MACs. Under the polling hand-off sharding wins
+// wall-clock time at every batch; what the floor buys is CPU. On the
+// reference box (2 vCPUs, avx2), the benchmark's LeNet-3C1L walked to
+// the top rung by 2 workers against 1, floor 0, walks back to back
+// (medians of 15 × 400, 7 runs) and 1 ms apart (5 × 200, 2 runs):
+//
+//	batch  MACs/shard/step  µs per walk        CPU       CPU, 1 ms apart
+//	2       62–111 k         67–73  →  41–62   +6…+40 %  +118…+120 %
+//	4      124–223 k        133–145 →  76–93   +4…+21 %   +62…+70 %
+//	8      248–446 k        263–279 → 141–167  +2…+15 %   +36…+37 %
+//
+// The worker's poll after a walk is a fixed ≈100 µs, more than a batch
+// of 2 costs. The floor lies between the model's one-image and
+// two-image steps, so no walk of it straddles it: at 2¹⁷ batch 4
+// shards its last step only, its worker has parked during the three
+// serial steps before, and the walk took 177–200 µs against 133–148
+// serial at 2.3 × the CPU. VGG-16 at 32×32 (1–10 M per shard) shards.
+// More workers than the floor allows shrink the fan-out rather than
+// cancel it: on 4 or 8 workers the LeNet's batch 8 runs 4 shards of 2.
+const shardMinMACs = 118_000
 
 // workers decides the step's fan-out: the Workers cap, at most one
 // worker per image — a single image is always walked serially — and
-// one worker if the shards would fall below the floor.
+// no more than leave every shard the floor's worth of images.
 func (e *Engine) workers(j shardJob) int {
 	w := e.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w = min(w, j.b1); w > 1 {
+	if w = min(w, j.b1); w > 1 && e.minShardMACs > 0 {
 		var macs int64
 		for i := range e.stages {
 			macs += e.stages[i].macs(j)
 		}
-		if macs*int64((j.b1+w-1)/w) < e.minShardMACs {
-			return 1
-		}
+		perShard := (e.minShardMACs + macs - 1) / max(macs, 1) // images
+		w = min(w, int(int64(j.b1)/max(perShard, 1)))
 	}
-	return w
+	return max(w, 1)
 }
 
 // runShard walks the job's rows through every stage of the plan and
@@ -306,8 +342,10 @@ func (e *Engine) runShard(j shardJob) int64 {
 // stepParallel shards the batch into w contiguous row ranges and
 // walks each through the whole plan on its own worker, every shard
 // writing its rows of the shared stage buffers in place. Workers
-// 1..w-1 are persistent goroutines fed jobs over a channel; the
-// calling goroutine always walks shard 0 itself.
+// 1..w-1 are persistent goroutines fed through their mailboxes; the
+// calling goroutine always walks shard 0 itself. Polling is only for a
+// step with a core per shard: with fewer, a poller would hold the core
+// the shard it polls for needs.
 func (e *Engine) stepParallel(j shardJob, w int) int64 {
 	e.ensureShards(w)
 	// Mark the shard workers' cores busy in the global parallelism
@@ -318,29 +356,60 @@ func (e *Engine) stepParallel(j shardJob, w int) int64 {
 	claimed := tensor.ClaimParallelHelpers(w - 1)
 	defer tensor.ReleaseParallelHelpers(claimed)
 
+	j.poll = w <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	batch := j.b1
 	e.wg.Add(w - 1)
+	e.pending.Add(int32(w - 1))
 	for wi := 1; wi < w; wi++ {
 		j.wi, j.b0, j.b1 = wi, wi*batch/w, (wi+1)*batch/w
-		e.jobs <- j
+		mb := e.mail[wi-1]
+		mb.job = j
+		if mb.state.Swap(mailPosted) == mailParked {
+			mb.wake <- struct{}{}
+		}
 	}
 	j.wi, j.b0, j.b1 = 0, 0, batch/w
 	macs := e.runShard(j)
-	e.wg.Wait()
+	if !j.poll || !poll(func() bool { return e.pending.Load() == 0 }) {
+		e.wg.Wait()
+	}
 	return macs
 }
 
-// shardWorker is the body of one persistent worker goroutine: drain
-// jobs until Close. The channel travels as a parameter, not via
-// e.jobs: Close nils the field, and a worker that had not yet been
-// scheduled when Close ran (possible whenever a step dispatches to
-// fewer workers than were spawned) would otherwise block forever on a
-// nil channel — with a synchronous Close, a deadlock.
-func (e *Engine) shardWorker(jobs chan shardJob) {
+// poll reports whether done came true within the poll budget, reading
+// the clock every 64 tries.
+func poll(done func() bool) bool {
+	deadline := time.Now().Add(pollBudget)
+	for i := 1; !done(); i++ {
+		if i%64 == 0 && time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// shardWorker is the body of one persistent worker goroutine: run the
+// jobs posted to mb until Close closes mb.wake. After a job that says
+// so it polls for the next one before it parks. It signals the WaitGroup
+// before the count a polling caller reads, so a caller that saw the
+// count reach zero finds the WaitGroup at zero too.
+func (e *Engine) shardWorker(mb *mailbox) {
 	defer e.workerWG.Done()
-	for job := range jobs {
-		e.runShard(job)
+	spin := false
+	for {
+		if !spin || !poll(func() bool { return mb.state.Load() == mailPosted }) {
+			if mb.state.CompareAndSwap(mailIdle, mailParked) {
+				if _, ok := <-mb.wake; !ok {
+					return
+				}
+			}
+		}
+		j := mb.job
+		mb.state.Store(mailIdle)
+		e.runShard(j)
+		spin = j.poll
 		e.wg.Done()
+		e.pending.Add(-1)
 	}
 }
 
@@ -350,29 +419,26 @@ func (e *Engine) ensureShards(w int) {
 	for len(e.shards) < w {
 		e.shards = append(e.shards, &shard{pool: tensor.NewPool(), z: make([]float64, e.zLen)})
 	}
-	if w > 1 && e.jobs == nil {
-		e.jobs = make(chan shardJob)
-	}
-	for e.started < w-1 { // worker 0 is the calling goroutine
-		e.started++
+	for len(e.mail) < w-1 { // worker 0 is the calling goroutine
+		mb := &mailbox{wake: make(chan struct{}, 1)}
+		e.mail = append(e.mail, mb)
 		e.workerWG.Add(1)
-		go e.shardWorker(e.jobs)
+		go e.shardWorker(mb)
 	}
 }
 
 // Close releases the engine's persistent shard workers and returns
 // once they have all exited (so goroutine-leak checks observe a clean
-// count deterministically). It is only needed for engines that
-// sharded a batch (serial-only engines spawn none) and the engine
-// remains usable afterwards — the next sharded Step simply respawns
-// workers.
+// count deterministically); a worker still polling exits when its poll
+// runs out. It is only needed for engines that sharded a batch
+// (serial-only engines spawn none) and the engine remains usable
+// afterwards — the next sharded Step simply respawns workers.
 func (e *Engine) Close() {
-	if e.jobs != nil {
-		close(e.jobs)
-		e.jobs = nil
-		e.started = 0
-		e.workerWG.Wait()
+	for _, mb := range e.mail {
+		close(mb.wake)
 	}
+	e.mail = nil
+	e.workerWG.Wait()
 }
 
 // CalibrateSteps measures the wall-clock cost of each ladder step

@@ -208,6 +208,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}{
 		{"serial", 1, 8},
 		{"parallel", 4, 8},
+		{"polling", 2, 8}, // a core per shard on two CPUs or more
 		{"batch1", 4, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -256,9 +256,10 @@ func (st *stage) zLen() int {
 // Jobs travel by value, so dispatch is allocation-free.
 type shardJob struct {
 	wi, b0, b1 int
-	sPrev, s   int // the step computes the rungs in (sPrev, s]
-	top        int // the rung the buffers held before the step
-	gathered   int // the rung the gathers are filled to (0 after Reset or import)
+	sPrev, s   int  // the step computes the rungs in (sPrev, s]
+	top        int  // the rung the buffers held before the step
+	gathered   int  // the rung the gathers are filled to (0 after Reset or import)
+	poll       bool // a core per shard: poll for the next job before parking
 }
 
 // stepNative advances rows [b0,b1) of a native stage: extend each

@@ -296,36 +296,175 @@ func TestShardWorkersReleased(t *testing.T) {
 	}
 }
 
-// TestSmallStepsStaySerial pins the fan-out floor: a batch whose steps
-// are smaller than the hand-off to a shard worker is walked on the
-// calling goroutine whatever Workers allows — no worker is ever
-// spawned for the benchmark's LeNet at batch 8 — while a model whose
-// steps repay the hand-off (VGG-16 at 32×32) still shards.
-func TestSmallStepsStaySerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	small := models.LeNet3C1L(models.Options{
-		Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.8,
-		Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
+// servedLeNet is the LeNet-3C1L the benchmark serves: its options, and
+// every unit but the first of each layer on a random rung.
+func servedLeNet() *models.Model {
+	m := models.LeNet3C1L(models.Options{
+		Classes: 10, InC: 3, InH: 16, InW: 16, Expansion: 1.6,
+		Subnets: 4, Rule: nn.RuleIncremental, Seed: 1,
 	})
-	large := models.VGG16(models.Options{
-		Classes: 5, InC: 3, InH: 32, InW: 32, Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
-	})
-	for _, tc := range []struct {
-		m      *models.Model
-		shards bool
-	}{{small, false}, {large, true}} {
-		spreadUnits(tc.m, 9, 4)
-		e := NewEngine(tc.m.Net)
-		e.Workers = 4
-		defer e.Close()
-		e.Reset(gridInput(tc.m, 8, 5))
-		for _, s := range gridWalk(4) {
-			e.MustStep(s)
-		}
-		if sharded := e.started > 0; sharded != tc.shards {
-			t.Fatalf("%s batch 8, Workers=4: sharded=%v, want %v", tc.m.Name, sharded, tc.shards)
+	r := tensor.NewRNG(1 ^ 0x5EED5)
+	for _, mv := range m.Movable {
+		a := mv.OutAssignment()
+		for u := 1; u < a.Units(); u++ {
+			a.SetID(u, 1+r.Intn(4))
 		}
 	}
+	return m
+}
+
+// TestSmallStepsStaySerial pins the fan-out floor, step by step up the
+// ladder: the benchmark's LeNet at batch 2 is walked on the calling
+// goroutine whatever Workers allows, at batches 4 and 8 every step
+// shards (no walk straddles the floor), and so does VGG-16 at 32×32.
+// Workers beyond what the floor allows shrink the fan-out to shards of
+// two LeNet images; they never send the batch back to serial.
+func TestSmallStepsStaySerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	lenet := servedLeNet()
+	vgg := models.VGG16(models.Options{
+		Classes: 5, InC: 3, InH: 32, InW: 32, Subnets: 4, Rule: nn.RuleIncremental, Seed: 3,
+	})
+	spreadUnits(vgg, 9, 4)
+	for _, tc := range []struct {
+		m              *models.Model
+		workers, batch int
+		want           int // the fan-out of every step
+	}{
+		{lenet, 2, 2, 1}, {lenet, 8, 2, 1},
+		{lenet, 2, 4, 2}, {lenet, 4, 4, 2},
+		{lenet, 2, 8, 2}, {lenet, 4, 8, 4}, {lenet, 8, 8, 4},
+		{vgg, 2, 8, 2},
+	} {
+		e := NewEngine(tc.m.Net)
+		e.Workers = tc.workers
+		defer e.Close()
+		e.Reset(gridInput(tc.m, tc.batch, 5))
+		for s := 1; s <= 4; s++ {
+			j := shardJob{b1: tc.batch, sPrev: s - 1, s: s, top: s - 1}
+			if w := e.workers(j); w != tc.want {
+				t.Fatalf("%s Workers=%d batch %d, step %d→%d: fan-out %d, want %d", tc.m.Name, tc.workers, tc.batch, s-1, s, w, tc.want)
+			}
+			e.MustStep(s)
+		}
+		if spawned := len(e.mail); spawned != tc.want-1 {
+			t.Fatalf("%s Workers=%d batch %d: %d workers spawned, want %d", tc.m.Name, tc.workers, tc.batch, spawned, tc.want-1)
+		}
+	}
+}
+
+// TestResetMatchesFreshEngine pins Reset's clear of the kept
+// activations. An engine that walked input A to the top rung and is
+// Reset to B — at the same batch, then at a smaller one — walks B
+// bitwise as a fresh engine does, every stage buffer of
+// every row compared, serially and sharded. Reset and then seeded by
+// ImportState, it climbs bitwise as a cold walk of the imported image.
+func TestResetMatchesFreshEngine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sameBuffers := func(a, b *Engine) bool {
+		for i := range a.stages {
+			if !slices.Equal(a.stages[i].out.Data(), b.stages[i].out.Data()) {
+				return false
+			}
+		}
+		return true
+	}
+	for gi, gc := range planGrid(41) {
+		n := gc.n
+		for _, w := range []int{1, 2} {
+			used := NewEngine(gc.m.Net)
+			used.Workers, used.minShardMACs = w, 0
+			defer used.Close()
+			used.Reset(gridInput(gc.m, 8, uint64(300+gi)))
+			used.MustStep(n)
+			for _, batch := range []int{8, 3} {
+				x := gridInput(gc.m, batch, uint64(400+gi+batch))
+				used.Reset(x)
+				fresh := NewEngine(gc.m.Net)
+				fresh.Workers = 1
+				fresh.Reset(x)
+				for step, s := range gridWalk(n) {
+					used.MustStep(s)
+					fresh.MustStep(s)
+					if !sameBuffers(used, fresh) {
+						t.Fatalf("%s workers=%d batch %d, step %d→%d: the reused engine's buffers differ from a fresh one's", gc.name, w, batch, step, s)
+					}
+				}
+			}
+
+			x1 := gridInput(gc.m, 1, uint64(500+gi))
+			cold := NewEngine(gc.m.Net)
+			cold.Workers = 1
+			cold.Reset(x1)
+			cold.MustStep(1)
+			st, err := cold.ExportState(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used.Reset(gridInput(gc.m, 8, uint64(600+gi)))
+			if err := used.ImportState(x1, st); err != nil {
+				t.Fatal(err)
+			}
+			for s := 2; s <= n; s++ {
+				used.MustStep(s)
+				cold.MustStep(s)
+				if !sameBuffers(used, cold) {
+					t.Fatalf("%s workers=%d: imported after a Reset, rung %d differs from the cold walk", gc.name, w, s)
+				}
+			}
+		}
+	}
+}
+
+// TestShardingOnOneProc pins the poll's gate. Under GOMAXPROCS(1) a
+// sharded step has no core per shard and must not poll: a poller would
+// hold the only P the shard it waits for needs, and every step would
+// cost a poll budget on each side. 200 batch-8 walks on two workers
+// stay bitwise the serial walk, and the best of three such runs takes
+// at most a quarter longer than the best serial run plus half a poll
+// budget a step: a poller would add two budgets a step.
+func TestShardingOnOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const walks, n = 200, 3
+	m := buildModel(61)
+	x := tensor.New(8, 1, 8, 8)
+	x.FillNormal(tensor.NewRNG(62), 0, 1)
+	serial := NewEngine(m.Net)
+	serial.Workers = 1
+	serial.Reset(x)
+	want := make([][]float64, n+1)
+	for s := 1; s <= n; s++ {
+		out, _ := serial.MustStep(s)
+		want[s] = slices.Clone(out.Data())
+	}
+	sharded := NewEngine(m.Net)
+	sharded.Workers, sharded.minShardMACs = 2, 0
+	defer sharded.Close()
+
+	best := func(e *Engine) time.Duration {
+		d := time.Duration(1<<63 - 1)
+		for range 3 {
+			t0 := time.Now()
+			for range walks {
+				e.Reset(x)
+				for s := 1; s <= n; s++ {
+					if out, _ := e.MustStep(s); !slices.Equal(out.Data(), want[s]) {
+						t.Fatalf("Workers=%d under GOMAXPROCS(1), step %d: output differs from the serial walk", e.Workers, s)
+					}
+				}
+			}
+			d = min(d, time.Since(t0))
+		}
+		return d
+	}
+	ds, dp := best(serial), best(sharded)
+	if len(sharded.mail) == 0 {
+		t.Fatal("the batch was never sharded")
+	}
+	if bound := ds + ds/4 + walks*n*pollBudget/2; dp > bound {
+		t.Fatalf("%d sharded walks took %v under GOMAXPROCS(1), serial %v: over the %v bound, as if a poller held the only P", walks, dp, ds, bound)
+	}
+	t.Logf("%d walks under GOMAXPROCS(1): serial %v, sharded %v", walks, ds, dp)
 }
 
 // TestStageTimerAndStages pins the profiling surface: Stages lists the
