@@ -167,10 +167,10 @@ STEPPINGNET_NOSIMD=1 go test -race -count=1 -run 'TestClusterChaosKillOneReplica
 echo "== request buffers and the hop (both backends) =="
 # Ten race runs each of what pooled request buffers and Remote's own
 # exchange lean on: a buffer goes back to the pool only after Submit
-# has returned and no hedge leg still reads it, and a connection goes
-# back only when its answer was read whole. The race detector sees no
+# has returned, and a connection goes back only when its answer was
+# read whole. The race detector sees no
 # happens-before edge through a socket, so these run more than once.
-HOP_TESTS='TestInferHandlerBufferReuse|TestRouterHedgeKeepsRequestBytes|TestRemote'
+HOP_TESTS='TestInferHandlerBufferReuse|TestRouterRetryKeepsRequestBytes|TestRemote'
 go test -race -count=10 -run "$HOP_TESTS" ./internal/cluster
 STEPPINGNET_NOSIMD=1 go test -race -count=10 -run "$HOP_TESTS" ./internal/cluster
 

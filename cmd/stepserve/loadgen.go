@@ -489,7 +489,7 @@ func runLoadgen(srv *serve.Server, m *models.Model, rps float64, duration time.D
 // requests round-robin across the targets, outcomes are classified
 // per target, and after the run each target's own /stats view is
 // fetched and summarized (a router target additionally reports its
-// retry/hedge/affinity counters, its per-replica breakdown and — when
+// retry/affinity counters, its per-replica breakdown and — when
 // the replicas run semantic caches — each replica's cache-hit share,
 // the end-to-end measure of affinity placement). With repeat > 0 the
 // generator sends that fraction of requests from the zipf hot pool
@@ -572,7 +572,7 @@ func runRemoteLoadgen(targets []string, rps float64, duration time.Duration, mix
 
 // printRemoteView fetches one target's /stats and prints its own view
 // of the run — a replica's serving counters, or a router's routing
-// breakdown (retries, hedges, per-replica outcomes).
+// breakdown (retries, per-replica outcomes).
 func printRemoteView(target string) {
 	resp, err := http.Get(strings.TrimRight(target, "/") + "/stats")
 	if err != nil {
@@ -589,13 +589,13 @@ func printRemoteView(target string) {
 	// A router's payload is recognizable by its replica breakdown.
 	var rst cluster.RouterStats
 	if json.Unmarshal(body, &rst) == nil && len(rst.Replicas) > 0 {
-		fmt.Printf("\n%s (router view): submitted %d, served %d, failed %d, retries %d, hedges %d, %d/%d available\n",
-			target, rst.Submitted, rst.Served, rst.Failed, rst.Retries, rst.Hedges, rst.Available, len(rst.Replicas))
+		fmt.Printf("\n%s (router view): submitted %d, served %d, failed %d, retries %d, %d/%d available\n",
+			target, rst.Submitted, rst.Served, rst.Failed, rst.Retries, rst.Available, len(rst.Replicas))
 		affinityOn := rst.AffinityRouted > 0 || rst.AffinitySpilled > 0
 		var hitTotal, hitTop int64
 		for _, rs := range rst.Replicas {
-			line := fmt.Sprintf("  %-28s up=%-5v breaker=%-9s ok=%-6d reject=%-6d xport=%-5d bad=%-4d retried=%-5d hedged=%d",
-				rs.Target, rs.Up, rs.Breaker, rs.Success, rs.Rejected, rs.TransportErrors, rs.BadInputs, rs.Retried, rs.Hedged)
+			line := fmt.Sprintf("  %-28s up=%-5v breaker=%-9s ok=%-6d reject=%-6d xport=%-5d bad=%-4d retried=%d",
+				rs.Target, rs.Up, rs.Breaker, rs.Success, rs.Rejected, rs.TransportErrors, rs.BadInputs, rs.Retried)
 			if affinityOn {
 				line += fmt.Sprintf(" affinity=%-5d spills=%d", rs.AffinityHits, rs.AffinitySpills)
 			}

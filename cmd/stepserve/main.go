@@ -38,7 +38,7 @@
 // Router mode (-route) serves the same /infer contract by spreading
 // requests over N replica URLs, least predicted backlog first, with
 // active health probing, per-replica circuit breakers, and
-// deadline-aware retry/hedging (see internal/cluster):
+// deadline-aware retries (see internal/cluster):
 //
 //	stepserve -route http://host1:8081,http://host2:8082 -addr :8080
 //
@@ -155,7 +155,6 @@ func main() {
 	hdrTimeout := flag.Duration("hdr-timeout", 5*time.Second, "how long a connection may take to send its request headers before it is closed (slow-loris defense)")
 
 	route := flag.String("route", "", "comma-separated replica base URLs: run as a fault-tolerant router over them instead of serving a model")
-	hedge := flag.Bool("hedge", false, "router: race a second replica for requests exceeding their class's observed p99")
 	affinity := flag.Bool("affinity", false, "router: rendezvous-hash requests onto replicas by input cache key, so repeats hit the replica whose semantic cache holds the walk")
 	affinitySpill := flag.Float64("affinity-spill", 2, "router: spill an affinity pick to the next replica in hash order once its backlog exceeds this factor × the cluster mean (≥1)")
 
@@ -174,7 +173,7 @@ func main() {
 	}
 
 	if *route != "" {
-		serveRouter(splitTargets(*route), *addr, sf.deadline, *hedge, *affinity, *affinitySpill, *hdrTimeout)
+		serveRouter(splitTargets(*route), *addr, sf.deadline, *affinity, *affinitySpill, *hdrTimeout)
 		return
 	}
 
@@ -673,9 +672,9 @@ func newRouterMux(ro *cluster.Router, draining *atomic.Bool) *http.ServeMux {
 
 // serveRouter runs the fault-tolerant router mode: the same /infer
 // contract, served by spreading requests over the replica URLs with
-// health probing, circuit breaking and deadline-aware retry/hedging
-// (see internal/cluster.Router).
-func serveRouter(targets []string, addr string, defaultDeadline time.Duration, hedge, affinity bool, affinitySpill float64, hdrTimeout time.Duration) {
+// health probing, circuit breaking and deadline-aware retries (see
+// internal/cluster.Router).
+func serveRouter(targets []string, addr string, defaultDeadline time.Duration, affinity bool, affinitySpill float64, hdrTimeout time.Duration) {
 	backends := make([]cluster.Backend, 0, len(targets))
 	for _, tgt := range targets {
 		backends = append(backends, cluster.NewRemote(tgt))
@@ -683,7 +682,6 @@ func serveRouter(targets []string, addr string, defaultDeadline time.Duration, h
 	ro, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends:            backends,
 		DefaultDeadline:     defaultDeadline,
-		Hedge:               hedge,
 		Affinity:            affinity,
 		AffinitySpillFactor: affinitySpill,
 	})
@@ -715,11 +713,11 @@ func serveRouter(targets []string, addr string, defaultDeadline time.Duration, h
 	<-shutdownDone
 	ro.Close()
 	st := ro.Stats()
-	log.Printf("drained; routed %d (%d inputs known, served %d, failed %d, retries %d, hedges %d, affinity %d routed/%d spilled)",
-		st.Submitted, st.InputsKnown, st.Served, st.Failed, st.Retries, st.Hedges, st.AffinityRouted, st.AffinitySpilled)
+	log.Printf("drained; routed %d (%d inputs known, served %d, failed %d, retries %d, affinity %d routed/%d spilled)",
+		st.Submitted, st.InputsKnown, st.Served, st.Failed, st.Retries, st.AffinityRouted, st.AffinitySpilled)
 	for _, rs := range st.Replicas {
-		log.Printf("  %s: up=%v breaker=%s success=%d rejected=%d transport=%d bad=%d retried=%d hedged=%d affinity=%d spills=%d",
-			rs.Target, rs.Up, rs.Breaker, rs.Success, rs.Rejected, rs.TransportErrors, rs.BadInputs, rs.Retried, rs.Hedged, rs.AffinityHits, rs.AffinitySpills)
+		log.Printf("  %s: up=%v breaker=%s success=%d rejected=%d transport=%d bad=%d retried=%d affinity=%d spills=%d",
+			rs.Target, rs.Up, rs.Breaker, rs.Success, rs.Rejected, rs.TransportErrors, rs.BadInputs, rs.Retried, rs.AffinityHits, rs.AffinitySpills)
 	}
 }
 

@@ -9,7 +9,7 @@
 // (/healthz probe loop with exponential backoff, re-admission only
 // after consecutive successes), wraps each in a circuit breaker
 // (closed → open on consecutive failures → half-open probes), and
-// retries or hedges a failed attempt on a different replica only when
+// retries a failed attempt on a different replica only when
 // the remaining deadline still affords that replica's calibrated
 // MinSubnet walk — a guaranteed-late retry would only steal capacity,
 // exactly the reasoning serve's admission controller applies inside

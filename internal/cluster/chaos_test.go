@@ -462,7 +462,6 @@ func TestExactlyOneAnswerUnderRandomFaults(t *testing.T) {
 		ProbeInterval: 10 * time.Millisecond, ProbeTimeout: 100 * time.Millisecond,
 		DownAfter: 2, ReadmitAfter: 2,
 		BreakerThreshold: 3, BreakerCooldown: 100 * time.Millisecond,
-		Hedge: true, HedgeMinSamples: 16,
 		Affinity: true, AffinitySpillFactor: 2,
 	})
 	if err != nil {

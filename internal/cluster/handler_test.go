@@ -193,15 +193,15 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestRouterHedgeKeepsRequestBytes is the router half of the
-// buffer-reuse contract. With hedging on and one of two replicas slow,
-// the hedge's answer returns Router.Submit — and the handler, which
-// puts the request's buffers back in its pool for the next request to
-// overwrite — while the slow leg is still on its way to its replica;
-// the witness reads that leg's bytes only when it finally gets there.
-// They must still be the request's own, which is why the hedge legs
-// read a copy. Run with -race -count=10.
-func TestRouterHedgeKeepsRequestBytes(t *testing.T) {
+// TestRouterRetryKeepsRequestBytes is the router half of the
+// buffer-reuse contract: a router-mode handler (buffers pooled) over
+// two witnessed replicas, one of which fails every request it is
+// handed with a transport error, so about half the requests are
+// retried on the other. Every attempt, first or retry, must reach its
+// replica with its own client's input and input text, and every answer
+// must be, bitwise, the reference walk of that input. Run with -race
+// -count=10.
+func TestRouterRetryKeepsRequestBytes(t *testing.T) {
 	m := buildModel(902)
 	imgLen := m.InC * m.InH * m.InW
 	const clients, perClient = 4, 12
@@ -210,9 +210,8 @@ func TestRouterHedgeKeepsRequestBytes(t *testing.T) {
 		want[i] = inputVec(uint64(2000+i), imgLen)
 		want[i][0] = float64(i)
 	}
-	var slow *faultinject.Injector
 	var backends []cluster.Backend
-	for _, name := range []string{"slow", "fast"} {
+	for _, name := range []string{"failing", "healthy"} {
 		srv, err := serve.New(serve.Config{
 			Model: m, Subnets: 3, Workers: 2, QueueDepth: 64, PriorityClasses: 2,
 			Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
@@ -220,16 +219,17 @@ func TestRouterHedgeKeepsRequestBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &witness{Backend: &cluster.Local{Srv: srv, Name: name}, t: t, want: want}
-		in := faultinject.Wrap(w)
-		if name == "slow" {
-			slow = in
+		var b cluster.Backend = &cluster.Local{Srv: srv, Name: name}
+		if name == "failing" {
+			b = faultinject.Wrap(b, faultinject.Fault{Kind: faultinject.ErrorBurst})
 		}
-		backends = append(backends, in)
+		backends = append(backends, &witness{Backend: b, t: t, want: want})
 	}
 	ro, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends: backends, ProbeInterval: -1, DefaultDeadline: 5 * time.Second,
-		Hedge: true, HedgeMinSamples: 8,
+		// The failing replica stays in the rotation, so first attempts
+		// keep landing on it and keep being retried.
+		BreakerThreshold: math.MaxInt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,44 +238,30 @@ func TestRouterHedgeKeepsRequestBytes(t *testing.T) {
 	ts := httptest.NewServer(&cluster.InferHandler{Submit: ro.Submit})
 	defer ts.Close()
 
-	run := func(from, to int) {
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				client := &http.Client{Transport: &http.Transport{}}
-				defer client.CloseIdleConnections()
-				for k := from; k < to; k++ {
-					id := c*perClient + k
-					ans, err := postInfer(client, ts.URL, encodeInfer(t, want[id], 0))
-					if err != nil {
-						t.Errorf("request %d: %v", id, err)
-						return
-					}
-					if ref := ladderLogits(t, m, want[id], 3); !sameBits(ans.Logits, ref[ans.Subnet]) {
-						t.Errorf("request %d: rung %d logits are not the reference walk of its input", id, ans.Subnet)
-					}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
+			for k := 0; k < perClient; k++ {
+				id := c*perClient + k
+				ans, err := postInfer(client, ts.URL, encodeInfer(t, want[id], 0))
+				if err != nil {
+					t.Errorf("request %d: %v", id, err)
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				if ref := ladderLogits(t, m, want[id], 3); !sameBits(ans.Logits, ref[ans.Subnet]) {
+					t.Errorf("request %d: rung %d logits are not the reference walk of its input", id, ans.Subnet)
+				}
+			}
+		}()
 	}
-	// Enough quick answers for the class's p99 to arm the hedge, then
-	// the slow replica starts sitting on every request it is handed.
-	run(0, 4)
-	slow.Inject(faultinject.Fault{Kind: faultinject.Slow, Delay: 200 * time.Millisecond})
-	run(4, perClient)
-	if ro.Stats().Hedges == 0 {
-		t.Fatal("no hedge fired: the slow legs this test is about never outlived their request")
-	}
-	// Let every abandoned leg reach its witness before the servers close.
-	deadline := time.Now().Add(5 * time.Second)
-	for st := ro.Stats(); st.Replicas[0].InFlight+st.Replicas[1].InFlight > 0; st = ro.Stats() {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned hedge legs never finished")
-		}
-		time.Sleep(time.Millisecond)
+	wg.Wait()
+	st := ro.Stats()
+	if st.Retries == 0 || st.Retries != st.Replicas[0].TransportErrors || st.Failed != 0 {
+		t.Fatalf("router stats %+v: want every failed attempt retried, at least one, and no request failed", st)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestRemoteBackend(t *testing.T) {
 	}
 
 	// A slow replica against a short context deadline is a transport
-	// failure — the seam the router's AttemptGrace budget leans on.
+	// failure — the seam the router's attemptGrace budget leans on.
 	f.mode.Store("slow")
 	sctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -26,14 +25,17 @@ const (
 	brHalfOpen
 )
 
-// hedgeClassMax bounds how many priority classes get their own
-// latency ring for the hedge trigger (higher classes share the top
-// ring, mirroring serve's clamping).
-const hedgeClassMax = 8
+// retryMargin pads the affordability check: a retry is dispatched to
+// a replica only when the remaining deadline covers that replica's
+// calibrated MinSubnet walk plus this margin.
+const retryMargin = time.Millisecond
 
-// hedgeRingSize is the per-class latency reservoir backing the p99
-// hedge trigger.
-const hedgeRingSize = 512
+// attemptGrace extends each attempt's transport deadline beyond the
+// request deadline: an anytime replica legitimately finishes its
+// MinSubnet walk (and answers, marked late) slightly after the
+// deadline, and canceling that answer would turn it into a spurious
+// transport error.
+const attemptGrace = 100 * time.Millisecond
 
 // RouterConfig parameterizes a Router.
 type RouterConfig struct {
@@ -69,29 +71,6 @@ type RouterConfig struct {
 	// BreakerCooldown is how long an open circuit waits before
 	// half-opening for a trial request. 0 means 2s.
 	BreakerCooldown time.Duration
-	// RetryMargin pads the affordability check: a retry (or hedge) is
-	// dispatched to a replica only when the remaining deadline covers
-	// that replica's calibrated MinSubnet walk plus this margin.
-	// 0 means 1ms.
-	RetryMargin time.Duration
-	// MaxAttempts bounds the dispatches per request (first try +
-	// retries + hedges). 0 means one attempt per replica.
-	MaxAttempts int
-	// Hedge enables tail hedging: when a first attempt has been in
-	// flight longer than its class's observed p99, a second attempt
-	// is raced on another replica (deadline-affordability gated, like
-	// a retry) and the first answer wins.
-	Hedge bool
-	// HedgeMinSamples is how many latencies a class must have
-	// observed before its p99 is trusted as a hedge trigger. 0 means
-	// 64.
-	HedgeMinSamples int
-	// AttemptGrace extends each attempt's transport deadline beyond
-	// the request deadline: an anytime replica legitimately finishes
-	// its MinSubnet walk (and answers, marked late) slightly after
-	// the deadline, and canceling that answer would turn it into a
-	// spurious transport error. 0 means 100ms.
-	AttemptGrace time.Duration
 	// Affinity enables cache-affinity routing: requests that carry an
 	// input are keyed with cache.KeyOf and routed by rendezvous
 	// (highest-random-weight) hashing over the currently-admitted
@@ -143,18 +122,6 @@ func (c RouterConfig) withDefaults() (RouterConfig, error) {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
-	if c.RetryMargin <= 0 {
-		c.RetryMargin = time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = len(c.Backends)
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 64
-	}
-	if c.AttemptGrace <= 0 {
-		c.AttemptGrace = 100 * time.Millisecond
-	}
 	if c.AffinitySpillFactor == 0 {
 		c.AffinitySpillFactor = 2
 	}
@@ -205,7 +172,6 @@ type replica struct {
 	transport      atomic.Int64
 	badInput       atomic.Int64 // typed ErrBadInput refusals
 	retried        atomic.Int64 // attempts on this replica that were retries
-	hedged         atomic.Int64 // hedge attempts landed here
 	affinityHits   atomic.Int64 // first attempts routed here as the key's HRW choice
 	affinitySpills atomic.Int64 // first attempts spilled AWAY from here by the load bound
 	probeFailTotal atomic.Int64
@@ -239,12 +205,12 @@ func (r *replica) backlogScore() float64 {
 }
 
 // affordable reports whether the remaining deadline still covers this
-// replica's calibrated cheapest answer (its MinSubnet walk) plus the
-// configured margin — the gate every retry and hedge must pass. A
-// replica with no calibration cached yet is presumed affordable (the
-// replica's own admission control is the backstop).
-func (r *replica) affordable(remaining, margin time.Duration) bool {
-	return remaining >= time.Duration(r.floorNs.Load())+margin
+// replica's calibrated cheapest answer (its MinSubnet walk) plus
+// retryMargin — the gate every retry must pass. A replica with no
+// calibration cached yet is presumed affordable (the replica's own
+// admission control is the backstop).
+func (r *replica) affordable(remaining time.Duration) bool {
+	return remaining >= time.Duration(r.floorNs.Load())+retryMargin
 }
 
 // brCanAllow reports (without mutating) whether the breaker would let
@@ -306,44 +272,11 @@ func (r *replica) brReport(ok bool, now time.Time, threshold int, cooldown time.
 	}
 }
 
-// latRing is a small mutex-guarded latency reservoir backing the
-// per-class p99 hedge trigger.
-type latRing struct {
-	mu    sync.Mutex
-	buf   [hedgeRingSize]time.Duration
-	idx   int
-	count int
-}
-
-func (lr *latRing) push(d time.Duration) {
-	lr.mu.Lock()
-	lr.buf[lr.idx] = d
-	lr.idx = (lr.idx + 1) % len(lr.buf)
-	if lr.count < len(lr.buf) {
-		lr.count++
-	}
-	lr.mu.Unlock()
-}
-
-// p99 returns the 99th-percentile sample, or 0 while fewer than
-// minSamples have been observed.
-func (lr *latRing) p99(minSamples int) time.Duration {
-	lr.mu.Lock()
-	n := lr.count
-	samples := append([]time.Duration(nil), lr.buf[:n]...)
-	lr.mu.Unlock()
-	if n < minSamples {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return time.Duration(serve.PercentileMs(samples, 0.99) * float64(time.Millisecond))
-}
-
 // Router spreads requests over a set of replicas — least backlog
 // first, or rendezvous-hashed on the input's cache key when Affinity
 // is on — keeping each replica behind a health prober and a circuit
-// breaker, and re-dispatching failed or tail-slow attempts under a
-// deadline-aware budget. Create with NewRouter, submit with Submit,
+// breaker, and re-dispatching failed attempts under a deadline-aware
+// budget. Create with NewRouter, submit with Submit,
 // stop with Close.
 type Router struct {
 	cfg      RouterConfig
@@ -354,14 +287,11 @@ type Router struct {
 	served          atomic.Int64
 	failed          atomic.Int64
 	retries         atomic.Int64
-	hedges          atomic.Int64
 	affinityRouted  atomic.Int64 // first attempts that landed on their key's HRW choice
 	affinitySpilled atomic.Int64 // first attempts diverted by the bounded-load spill
 	inputsKnown     atomic.Int64 // submits that came keyed and without their floats
 
 	rr atomic.Int64 // rotation offset for backlog ties
-
-	classLats [hedgeClassMax]latRing
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -543,7 +473,7 @@ func (ro *Router) pick(tried []*replica, isRetry bool, absDeadline time.Time, ke
 		if !ok {
 			continue
 		}
-		if isRetry && !r.affordable(remaining, ro.cfg.RetryMargin) {
+		if isRetry && !r.affordable(remaining) {
 			continue
 		}
 		c := candidate{r: r, score: r.backlogScore()}
@@ -566,8 +496,8 @@ func (ro *Router) pick(tried []*replica, isRetry bool, absDeadline time.Time, ke
 		if c.r.brAcquire(now) {
 			if useAff && !isRetry {
 				// Affinity accounting covers first attempts only —
-				// retries and hedges merely PREFER warm replicas and
-				// would dilute the hit/spill signal.
+				// retries merely PREFER warm replicas and would
+				// dilute the hit/spill signal.
 				switch {
 				case c.r == hrwFirst:
 					c.r.affinityHits.Add(1)
@@ -583,35 +513,22 @@ func (ro *Router) pick(tried []*replica, isRetry bool, absDeadline time.Time, ke
 	return nil
 }
 
-// attemptResult carries one dispatch outcome between the attempt
-// goroutine and Submit.
-type attemptResult struct {
-	res serve.Result
-	err error
-	r   *replica
-}
-
 // dispatch runs one attempt against a replica, updating its breaker
 // and counters. The attempt is handed what is left of the request's
 // deadline (floored at 1 ns: zero asks for the replica's default), not
 // the original — a retry told it had the whole budget again would be
 // answered, and reported in time, against a clock the client never had.
-// The context deadline is the request deadline plus AttemptGrace (see
-// RouterConfig.AttemptGrace).
-func (ro *Router) dispatch(r *replica, req serve.Request, absDeadline time.Time, isRetry, isHedge bool) attemptResult {
+// The context deadline is the request deadline plus attemptGrace.
+func (ro *Router) dispatch(r *replica, req serve.Request, absDeadline time.Time, isRetry bool) (serve.Result, error) {
 	req.Deadline = max(time.Until(absDeadline), 1)
 	r.dispatches.Add(1)
 	if isRetry {
 		r.retried.Add(1)
 		ro.retries.Add(1)
 	}
-	if isHedge {
-		r.hedged.Add(1)
-		ro.hedges.Add(1)
-	}
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
-	ctx, cancel := context.WithDeadline(context.Background(), absDeadline.Add(ro.cfg.AttemptGrace))
+	ctx, cancel := context.WithDeadline(context.Background(), absDeadline.Add(attemptGrace))
 	defer cancel()
 	res, err := r.b.Submit(ctx, req)
 	now := time.Now()
@@ -638,29 +555,17 @@ func (ro *Router) dispatch(r *replica, req serve.Request, absDeadline time.Time,
 		r.transport.Add(1)
 		r.brReport(false, now, ro.cfg.BreakerThreshold, ro.cfg.BreakerCooldown)
 	}
-	return attemptResult{res: res, err: err, r: r}
-}
-
-// hedgeDelay returns how long a class's first attempt may run before
-// a hedge fires: the class's observed p99, or 0 (no hedging) while
-// the sample base is thin.
-func (ro *Router) hedgeDelay(class int) time.Duration {
-	return ro.classLats[min(max(class, 0), hedgeClassMax-1)].p99(ro.cfg.HedgeMinSamples)
-}
-
-// observeLatency feeds a served request's latency into its class's
-// hedge-trigger ring.
-func (ro *Router) observeLatency(class int, d time.Duration) {
-	ro.classLats[min(max(class, 0), hedgeClassMax-1)].push(d)
+	return res, err
 }
 
 // Submit routes one request through the cluster and blocks until an
 // answer or a typed error: it picks a replica (rendezvous-hashed on
-// the input's cache key under Affinity, least-backlogged otherwise),
-// optionally hedges a tail-slow first attempt, and retries failed
-// attempts on different replicas while the remaining deadline still
-// affords their calibrated minimum walk. Every call resolves to
-// exactly one outcome; errors pass through typed
+// the input's cache key under Affinity, least-backlogged otherwise)
+// and retries failed attempts on different replicas, one attempt per
+// replica, while the remaining deadline still affords their calibrated
+// minimum walk. Every attempt runs on the caller's goroutine, so
+// nothing reads the request after Submit returns. Every call resolves
+// to exactly one outcome; errors pass through typed
 // (serve.ErrOverloaded, serve.ErrBadInput, ErrTransport-wrapped
 // failures) or ErrNoReplicas when nothing could take the request.
 func (ro *Router) Submit(req serve.Request) (serve.Result, error) {
@@ -673,14 +578,13 @@ func (ro *Router) Submit(req serve.Request) (serve.Result, error) {
 		d = ro.cfg.DefaultDeadline
 		req.Deadline = d
 	}
-	start := time.Now()
-	absDeadline := start.Add(d)
+	absDeadline := time.Now().Add(d)
 
 	// The affinity key is computed once per request, not per attempt:
-	// retries and hedges keep preferring the same HRW order, so a
-	// resumed rung is still likely warm wherever the request ends up.
-	// A request that arrives keyed is not hashed again, here or in a
-	// Local backend's server.
+	// retries keep preferring the same HRW order, so a resumed rung is
+	// still likely warm wherever the request ends up. A request that
+	// arrives keyed is not hashed again, here or in a Local backend's
+	// server.
 	if ro.cfg.Affinity && !req.Keyed && len(req.Input) > 0 {
 		req.Key, req.Keyed = cache.KeyOf(req.Input), true
 	}
@@ -690,38 +594,23 @@ func (ro *Router) Submit(req serve.Request) (serve.Result, error) {
 		tried   []*replica
 		lastErr error
 	)
-	attempts := 0
-	for attempts < ro.cfg.MaxAttempts {
-		r := ro.pick(tried, attempts > 0, absDeadline, key, hasKey)
+	for len(tried) < len(ro.replicas) {
+		isRetry := len(tried) > 0
+		r := ro.pick(tried, isRetry, absDeadline, key, hasKey)
 		if r == nil {
 			break
 		}
 		tried = append(tried, r)
-		first := attempts == 0
-		attempts++
-
-		var out attemptResult
-		if first && ro.cfg.Hedge {
-			var hedgedAttempt bool
-			out, hedgedAttempt = ro.dispatchHedged(r, req, absDeadline, &tried, key, hasKey)
-			if hedgedAttempt {
-				attempts++
-			}
-		} else {
-			out = ro.dispatch(r, req, absDeadline, !first, false)
-		}
-
+		res, err := ro.dispatch(r, req, absDeadline, isRetry)
 		switch {
-		case out.err == nil:
+		case err == nil:
 			ro.served.Add(1)
-			ro.observeLatency(req.Priority, time.Since(start))
-			return out.res, nil
-		case errors.Is(out.err, serve.ErrBadInput):
+			return res, nil
+		case errors.Is(err, serve.ErrBadInput):
 			ro.failed.Add(1)
-			return serve.Result{}, out.err
-		default:
-			lastErr = out.err
+			return serve.Result{}, err
 		}
+		lastErr = err
 	}
 	ro.failed.Add(1)
 	if lastErr != nil {
@@ -729,64 +618,6 @@ func (ro *Router) Submit(req serve.Request) (serve.Result, error) {
 	}
 	return serve.Result{}, fmt.Errorf("%w: %d replicas configured, deadline %v",
 		ErrNoReplicas, len(ro.replicas), d)
-}
-
-// dispatchHedged races a first attempt against a tail hedge: the
-// primary runs immediately; if it is still in flight when the class's
-// p99 elapses, a second attempt starts on another (affordable,
-// untried) replica and the first answer to arrive wins — a slow
-// primary's eventual answer is discarded, not duplicated. Reports
-// whether a hedge was actually launched (the hedged replica is
-// appended to tried either way it resolves).
-func (ro *Router) dispatchHedged(r *replica, req serve.Request, absDeadline time.Time, tried *[]*replica, key uint64, hasKey bool) (attemptResult, bool) {
-	delay := ro.hedgeDelay(req.Priority)
-	if delay <= 0 {
-		return ro.dispatch(r, req, absDeadline, false, false), false
-	}
-	// The losing leg may read the request after Submit has returned and
-	// its caller reused the slices (see Backend): the legs get a copy.
-	req.Input, req.InputJSON = slices.Clone(req.Input), bytes.Clone(req.InputJSON)
-	primary := make(chan attemptResult, 1)
-	go func() { primary <- ro.dispatch(r, req, absDeadline, false, false) }()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case out := <-primary:
-		return out, false
-	case <-timer.C:
-	}
-	h := ro.pick(*tried, true, absDeadline, key, hasKey)
-	if h == nil {
-		return <-primary, false
-	}
-	*tried = append(*tried, h)
-	secondary := make(chan attemptResult, 1)
-	go func() { secondary <- ro.dispatch(h, req, absDeadline, false, true) }()
-
-	// First success wins; a failure waits for the other leg. Both
-	// channels are buffered, so the losing goroutine never blocks and
-	// its breaker/counter bookkeeping always completes. When both legs
-	// fail, the FIRST failure is the one surfaced: it is the cause —
-	// the leg that failed later typically failed because the request's
-	// budget was already gone.
-	select {
-	case out := <-primary:
-		if out.err == nil {
-			return out, true
-		}
-		if second := <-secondary; second.err == nil {
-			return second, true
-		}
-		return out, true
-	case out := <-secondary:
-		if out.err == nil {
-			return out, true
-		}
-		if first := <-primary; first.err == nil {
-			return first, true
-		}
-		return out, true
-	}
 }
 
 // ReplicaStats is one replica's slice of RouterStats.
@@ -798,7 +629,7 @@ type ReplicaStats struct {
 	// Breaker is the circuit state: "closed", "open" or "half-open".
 	Breaker string `json:"breaker"`
 	// Dispatches counts attempts dispatched to this replica (first
-	// tries, retries and hedges). Success + Rejected +
+	// tries and retries). Success + Rejected +
 	// TransportErrors + BadInputs always sums to it.
 	Dispatches int64 `json:"dispatches"`
 	// Success counts answered dispatches to this replica.
@@ -814,8 +645,6 @@ type ReplicaStats struct {
 	// Retried counts dispatches to this replica that were retries of
 	// an attempt failed elsewhere.
 	Retried int64 `json:"retried"`
-	// Hedged counts hedge attempts landed on this replica.
-	Hedged int64 `json:"hedged"`
 	// AffinityHits counts first attempts routed to this replica
 	// because it was the request key's rendezvous-hash choice (0 when
 	// affinity routing is off).
@@ -877,8 +706,6 @@ type RouterStats struct {
 	Failed int64 `json:"failed"`
 	// Retries counts re-dispatches after a failed attempt.
 	Retries int64 `json:"retries"`
-	// Hedges counts tail-hedge attempts launched.
-	Hedges int64 `json:"hedges"`
 	// InputsKnown counts Submits that came keyed and without their
 	// floats: recognised by the caller, forwarded unparsed.
 	InputsKnown int64 `json:"inputs_known"`
@@ -901,7 +728,6 @@ func (ro *Router) Stats() RouterStats {
 		Served:          ro.served.Load(),
 		Failed:          ro.failed.Load(),
 		Retries:         ro.retries.Load(),
-		Hedges:          ro.hedges.Load(),
 		InputsKnown:     ro.inputsKnown.Load(),
 		AffinityRouted:  ro.affinityRouted.Load(),
 		AffinitySpilled: ro.affinitySpilled.Load(),
@@ -930,7 +756,6 @@ func (ro *Router) Stats() RouterStats {
 		rs.TransportErrors = r.transport.Load()
 		rs.BadInputs = r.badInput.Load()
 		rs.Retried = r.retried.Load()
-		rs.Hedged = r.hedged.Load()
 		rs.AffinityHits = r.affinityHits.Load()
 		rs.AffinitySpills = r.affinitySpills.Load()
 		rs.InFlight = r.inflight.Load()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,9 +15,8 @@ import (
 )
 
 // fakeBackend is a fully scripted Backend: tests flip its health and
-// submit behavior to drive the router's prober, breaker, retry and
-// hedge paths deterministically, with no model, engine or clock
-// dependence.
+// submit behavior to drive the router's prober, breaker and retry
+// paths deterministically, with no model, engine or clock dependence.
 type fakeBackend struct {
 	name string
 
@@ -216,7 +214,7 @@ func TestRetryForwardsRemainingBudget(t *testing.T) {
 
 	// Nothing left: the attempt still carries a positive deadline.
 	past := time.Now().Add(-time.Second)
-	ro.dispatch(ro.replicas[0], serve.Request{Deadline: budget}, past, false, false)
+	ro.dispatch(ro.replicas[0], serve.Request{Deadline: budget}, past, false)
 	if got := time.Duration(a.deadline.Load()); got != 1 {
 		t.Fatalf("an attempt past its deadline was handed %v, want the smallest positive duration", got)
 	}
@@ -368,64 +366,6 @@ func TestOverloadIsNotBreakerEvidence(t *testing.T) {
 	}
 }
 
-// TestHedgeRacesTailRequest pins the hedging path: once a class has a
-// latency history, a first attempt that overstays the class p99 gets
-// a second attempt raced on another replica, the faster answer wins,
-// and exactly one result is returned.
-func TestHedgeRacesTailRequest(t *testing.T) {
-	slow := &fakeBackend{name: "slow"}
-	fast := &fakeBackend{name: "fast"}
-	slow.setDelay(60 * time.Millisecond)
-	ro := newTestRouter(t, RouterConfig{
-		Hedge: true, HedgeMinSamples: 4,
-	}, slow, fast)
-
-	// Pin first-attempt choice: slow scores 0, fast carries fabricated
-	// backlog. Both floors are cheap, so the hedge is affordable.
-	ro.replicas[0].storeSnap(snap(0, 0.001))
-	ro.replicas[1].storeSnap(snap(10, 0.001))
-
-	// Seed the class-1 latency history: p99 ≈ 1ms, far under the slow
-	// replica's 60ms stall.
-	for i := 0; i < 4; i++ {
-		ro.observeLatency(1, time.Millisecond)
-	}
-
-	start := time.Now()
-	res, err := ro.Submit(serve.Request{Priority: 1, Deadline: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("hedged submit failed: %v", err)
-	}
-	if res.Subnet != 1 {
-		t.Fatalf("unexpected result %+v", res)
-	}
-	// The hedge must beat the slow primary by a wide margin.
-	if e := time.Since(start); e > 40*time.Millisecond {
-		t.Fatalf("hedged answer took %v, want well under the slow replica's 60ms", e)
-	}
-	if got := ro.hedges.Load(); got != 1 {
-		t.Fatalf("hedges = %d, want 1", got)
-	}
-	if got := fast.submits.Load(); got != 1 {
-		t.Fatalf("fast replica submits = %d, want 1 (the hedge)", got)
-	}
-	// The abandoned primary still completes and its bookkeeping lands.
-	deadline := time.Now().Add(2 * time.Second)
-	for ro.replicas[0].inflight.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned primary attempt never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := ro.Stats()
-	if st.Served != 1 || st.Submitted != 1 {
-		t.Fatalf("router stats %+v, want exactly one submit and one serve", st)
-	}
-	if st.Replicas[1].Hedged != 1 {
-		t.Fatalf("replica stats %+v, want the hedge attributed to fast", st.Replicas)
-	}
-}
-
 // TestBadInputNeverRetries pins the permanent-error classification: a
 // request rejected for its own shape is returned immediately, with no
 // second replica tried and no breaker movement.
@@ -538,37 +478,6 @@ func TestProbeSnapshotOrdering(t *testing.T) {
 	ro.finishProbe(r, seqC, nil, snap(7, 5), nil)
 	if got := r.snap.Load(); got.QueueLen != 7 {
 		t.Fatalf("in-order probe failed to update the snapshot: %+v", got)
-	}
-}
-
-// TestHedgeBothLegsFailReturnsFirstFailure pins the error surfaced
-// when a hedged pair both fail: the FIRST leg to fail is the cause
-// (the later one typically dies of the already-exhausted budget), so
-// its error must be the one the caller sees — previously the last
-// failure won and the root cause was discarded.
-func TestHedgeBothLegsFailReturnsFirstFailure(t *testing.T) {
-	slow := &fakeBackend{name: "slow"}
-	fast := &fakeBackend{name: "fast"}
-	slow.setDelay(60 * time.Millisecond)
-	slow.setSubmitErr(fmt.Errorf("%w: slow-leg-failure", ErrTransport))
-	fast.setSubmitErr(fmt.Errorf("%w: first-failure-cause", ErrTransport))
-	ro := newTestRouter(t, RouterConfig{
-		Hedge: true, HedgeMinSamples: 4, MaxAttempts: 2,
-	}, slow, fast)
-	ro.replicas[0].storeSnap(snap(0, 0.001))
-	ro.replicas[1].storeSnap(snap(10, 0.001))
-	for i := 0; i < 4; i++ {
-		ro.observeLatency(0, time.Millisecond)
-	}
-
-	_, err := ro.Submit(serve.Request{Deadline: 500 * time.Millisecond})
-	if !errors.Is(err, ErrTransport) {
-		t.Fatalf("got %v, want a transport error", err)
-	}
-	// The hedge (fast) fails ~immediately; the primary stalls 60ms
-	// before failing. The fast leg's error is the first failure.
-	if !strings.Contains(err.Error(), "first-failure-cause") {
-		t.Fatalf("surfaced error %q, want the first failure's cause", err)
 	}
 }
 

@@ -58,9 +58,6 @@ func TestChaosRandomizedLifecycles(t *testing.T) {
 				DefaultDeadline: time.Hour,
 			}
 			if rng.Intn(2) == 1 {
-				cfg.BatchWindow = time.Duration(rng.Intn(300)) * time.Microsecond
-			}
-			if rng.Intn(2) == 1 {
 				cfg.RefreshInterval = time.Millisecond
 			}
 			if rng.Intn(2) == 1 {

@@ -79,11 +79,6 @@ type Config struct {
 	// each request still finalizes at the widest subnet its own
 	// deadline and shed cap afford. 0 or 1 disables.
 	MaxBatch int
-	// BatchWindow, when positive, lets the batch former wait this
-	// long for more arrivals after popping an under-filled batch —
-	// trading a bounded latency hit for fuller batches under moderate
-	// load. 0 hands batches to workers greedily.
-	BatchWindow time.Duration
 	// PriorityClasses is the number of request priority classes
 	// (Request.Priority is clamped to 0..PriorityClasses-1, higher is
 	// more important). Class c may occupy at most the nested share
@@ -200,9 +195,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1
-	}
-	if c.BatchWindow < 0 {
-		return c, fmt.Errorf("serve: negative BatchWindow %v", c.BatchWindow)
 	}
 	if c.PriorityClasses < 0 {
 		return c, fmt.Errorf("serve: negative PriorityClasses %d", c.PriorityClasses)
@@ -822,27 +814,25 @@ func (s *Server) shedCapLocked(class int) int {
 	return c
 }
 
-// popLocked moves up to max requests from the lanes into batch,
+// popLocked moves up to max requests from the lanes into a new batch,
 // highest class first, FIFO within a class, and stamps each with its
 // class's shed cap at pop time. When the governor's policy carries a
 // lookahead ratio, the pop additionally groups by compatible deadline
-// headroom: the first request popped (or, on a top-up, the batch's
-// existing head) seeds the batch, and the pop stops at the first
-// candidate whose remaining headroom is incompatible with the seed's
-// (min/max < ratio) — a batch step costs b·StepTime, so mixing one
-// tight-deadline request into a generous batch would make every rung
-// dearer for all of them. The incompatible request stays queued, in
-// order, and seeds the next batch. Callers hold qmu.
-func (s *Server) popLocked(batch []*pending, max int) []*pending {
+// headroom: the first request popped seeds the batch, and the pop
+// stops at the first candidate whose remaining headroom is
+// incompatible with the seed's (min/max < ratio) — a batch step costs
+// b·StepTime, so mixing one tight-deadline request into a generous
+// batch would make every rung dearer for all of them. The incompatible
+// request stays queued, in order, and seeds the next batch. Callers
+// hold qmu.
+func (s *Server) popLocked(max int) []*pending {
+	batch := make([]*pending, 0, max)
 	la := s.policy.Load().Lookahead
 	var now time.Time
 	var seedHead time.Duration
 	seeded := false
 	if la > 0 {
 		now = time.Now()
-		if len(batch) > 0 {
-			seedHead, seeded = headroom(batch[0], now), true
-		}
 	}
 pop:
 	for c := s.priorities - 1; c >= 0 && len(batch) < max; c-- {
@@ -866,9 +856,7 @@ pop:
 		s.lanes[c] = lane
 	}
 	for _, p := range batch {
-		if p.ladderCap == 0 {
-			p.ladderCap = s.shedCapLocked(p.class)
-		}
+		p.ladderCap = s.shedCapLocked(p.class)
 	}
 	return batch
 }
@@ -909,25 +897,16 @@ func (s *Server) popBatch(max int) []*pending {
 	if s.qtotal == 0 {
 		return nil // closed and drained
 	}
-	return s.popLocked(make([]*pending, 0, max), max)
-}
-
-// topUp non-blockingly extends an under-filled batch with whatever
-// has arrived since it was popped.
-func (s *Server) topUp(batch []*pending, max int) []*pending {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return s.popLocked(batch, max)
+	return s.popLocked(max)
 }
 
 // former is the central batch-formation goroutine: it assembles
 // micro-batches from the shared priority queue — seeing arrivals from
 // every submitter, not just whatever one worker's pop happened to
-// catch — and hands them to idle workers. Under backlog it forms full
-// MaxBatch batches in strict priority order; with BatchWindow set it
-// briefly holds an under-filled batch open for late arrivals. It
-// exits (closing the worker feed) once the server is closed and the
-// queue drained.
+// catch — and hands them to idle workers. It pops whatever is queued
+// the moment a batch is formed, up to MaxBatch in strict priority
+// order, and never waits for more. It exits (closing the worker feed)
+// once the server is closed and the queue drained.
 func (s *Server) former() {
 	defer s.wg.Done()
 	defer close(s.batches)
@@ -935,19 +914,6 @@ func (s *Server) former() {
 		batch := s.popBatch(s.cfg.MaxBatch)
 		if batch == nil {
 			return
-		}
-		if w := s.cfg.BatchWindow; w > 0 && len(batch) < s.cfg.MaxBatch {
-			// Hold an under-filled batch open only when no worker is
-			// idle: stalling a ready worker would trade real capacity
-			// for batch fullness (and cap throughput at MaxBatch per
-			// window). An immediate handoff wins if one is waiting.
-			select {
-			case s.batches <- batch:
-				continue
-			default:
-			}
-			time.Sleep(w)
-			batch = s.topUp(batch, s.cfg.MaxBatch)
 		}
 		s.batches <- batch
 	}
