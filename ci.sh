@@ -22,7 +22,8 @@
 # threshold — ±50% for the entries that cross the loopback — (ns/op is
 # not gated when the committed baseline came from a different GEMM
 # backend than this machine selects), and on the relations within the
-# new file (walk ≤ 1.10 × forward at batch 1; batch-8 walk ≤ 8 × 0.75 ×
+# new file (walk ≤ 1.10 × forward at batch 1, on the LeNet and on
+# VGG-16; a one-row rung panel ≤ 0.6 × a four-row one; batch-8 walk ≤ 8 × 0.75 ×
 # batch-1 walk on two cores or more, 8 × 1.05 × on one; request
 # decode ≤ 0.6 × and cache key ≤ 0.05 × strconv.ParseFloat on the
 # same 768 tokens; a recognised input text ≤

@@ -299,6 +299,80 @@ func writeBenchBaseline(path string) error {
 			}
 		}
 	})
+	// The rung kernel at the served conv1 shape (k 27, n 256, B the step
+	// plan's gather of three same-padded 16×16 planes), for a panel of one
+	// row and of four. A rung pays for the units it adds: -compare holds
+	// one row to 0.6 of four. The pair alternates; both are 0 allocs/op.
+	rungGemm := func(m int) func(b *testing.B) {
+		return func(b *testing.B) {
+			const ch, w = 3, 16
+			k, n, copyLen := 9*ch, w*w, (w+2)*w
+			r := tensor.NewRNG(5)
+			a, bias, c := make([]float64, m*k), make([]float64, m), make([]float64, m*n)
+			g, off := make([]float64, 3*ch*copyLen), make([]int, k)
+			for i := range a {
+				a[i] = r.NormFloat64()
+			}
+			for i := range g {
+				g[i] = r.NormFloat64()
+			}
+			for p := range off { // row (ch,ky,kx): the window at ky·w of copy (ch,kx)
+				off[p] = (3*(p/9)+p%3)*copyLen + p/3%3*w
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.RungGemm(c, a, g, off, bias, m, k, n, true)
+			}
+		}
+	}
+	rung := fastest(rungGemm(1), rungGemm(4))
+	put(results, "rung_gemm_1x27x256", 2*1*27*256, rung[0])
+	put(results, "rung_gemm_4x27x256", 2*4*27*256, rung[1])
+
+	// The wide shape: VGG-16 at 32×32 with its units spread over four
+	// rungs, as TestSmallStepsStaySerial builds it (its steps are large
+	// enough to shard a batch). The batch-1 walk is held to 1.10 × one
+	// from-scratch forward of the widest subnet, as on the LeNet; the
+	// pair alternates, and both are 0 allocs/op.
+	newVGG := func() (*nn.Network, *tensor.Tensor) {
+		m := models.VGG16(models.Options{Classes: 5, InC: 3, InH: 32, InW: 32, Subnets: 4, Rule: nn.RuleIncremental, Seed: 3})
+		r := tensor.NewRNG(9)
+		for _, mv := range m.Movable {
+			a := mv.OutAssignment()
+			for u := 1; u < a.Units(); u++ {
+				a.SetID(u, 1+r.Intn(4))
+			}
+		}
+		x := tensor.New(1, 3, 32, 32)
+		x.FillNormal(tensor.NewRNG(4), 0, 1)
+		return m.Net, x
+	}
+	vgg := fastest(
+		func(b *testing.B) {
+			net, x := newVGG()
+			ctx := nn.Eval(4)
+			ctx.Scratch = tensor.NewPool()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.Scratch.Put(net.Forward(x, ctx))
+			}
+		},
+		func(b *testing.B) {
+			net, x := newVGG()
+			e := infer.NewEngine(net)
+			defer e.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Reset(x)
+				for s := 1; s <= 4; s++ {
+					e.MustStep(s)
+				}
+			}
+		},
+	)
+	put(results, "forward_vgg16_b1", 0, vgg[0])
+	put(results, "anytime_walk_vgg16_b1", 0, vgg[1])
+
 	// Single-request serving latency through the full internal/serve
 	// path — admission, scheduling, the 4-step ladder walk and the
 	// answer channel — with a deadline generous enough to always reach

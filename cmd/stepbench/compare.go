@@ -45,6 +45,11 @@ var relations = []struct {
 }{
 	// Reuse must pay in time, not only in MACs.
 	{name: "anytime_walk_lenet3c1l_b1", ref: "forward_lenet3c1l_b1", factor: 1.10, why: "the four-rung batch-1 walk against one from-scratch forward of the widest subnet"},
+	{name: "anytime_walk_vgg16_b1", ref: "forward_vgg16_b1", factor: 1.10, why: "the same on VGG-16 at 32×32, the wide shape"},
+	// A rung pays for the units it adds: the rung kernel's last tile runs
+	// the rows it has, not a tile of four (a kernel that pads a one-row
+	// panel to four rows fails this by reading about one).
+	{name: "rung_gemm_1x27x256", ref: "rung_gemm_4x27x256", factor: 0.6, why: "a one-row rung panel against a four-row one at the served conv1 shape"},
 	// A batch of 8 is sharded over the cores by image (measured 0.54–0.55
 	// on two); on one core it is walked serially, not at a loss.
 	{name: "anytime_walk_lenet3c1l", ref: "anytime_walk_lenet3c1l_b1", factor: 8 * 0.75, minCPU: 2, why: "a batch of 8 on two cores or more against eight lone images"},
@@ -101,7 +106,8 @@ func noiseThreshold(name string) float64 {
 //     benchmark is how perf contracts rot);
 //   - allocs/op growth on an entry of allocCapped fails too;
 //   - within the new file, every entry of relations holds: the batch-1
-//     walk ≤ 1.10 × the batch-1 forward, the batch-8 walk ≤ 8 × 0.75 ×
+//     walk ≤ 1.10 × the batch-1 forward (LeNet and VGG-16), a one-row
+//     rung panel ≤ 0.6 × a four-row one, the batch-8 walk ≤ 8 × 0.75 ×
 //     the batch-1 walk on two cores or more, counted as the fewer of
 //     num_cpu and gomaxprocs (8 × 1.05 × on one),
 //     wire_decode_768 ≤ 0.6 × and cache_keyof_768 ≤

@@ -115,6 +115,7 @@ type mailbox struct {
 	job   shardJob
 	state atomic.Int32 // mailIdle, mailPosted or mailParked
 	wake  chan struct{}
+	polls int // times the worker polled for a job; the worker's own, read after Close
 }
 
 const (
@@ -397,11 +398,13 @@ func (e *Engine) shardWorker(mb *mailbox) {
 	defer e.workerWG.Done()
 	spin := false
 	for {
-		if !spin || !poll(func() bool { return mb.state.Load() == mailPosted }) {
-			if mb.state.CompareAndSwap(mailIdle, mailParked) {
-				if _, ok := <-mb.wake; !ok {
-					return
-				}
+		if spin {
+			mb.polls++
+			spin = poll(func() bool { return mb.state.Load() == mailPosted })
+		}
+		if !spin && mb.state.CompareAndSwap(mailIdle, mailParked) {
+			if _, ok := <-mb.wake; !ok {
+				return
 			}
 		}
 		j := mb.job

@@ -2,7 +2,6 @@ package infer
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"steppingnet/internal/nn"
@@ -389,24 +388,17 @@ func (st *stage) runPanel(p *panel, gat, out, z []float64) {
 // pool writes the panel's finished conv planes z (OutH×OutW per unit)
 // to the units' output planes, through the 2×2 max if the stage pools.
 // Only a pool behind a ReLU is fused, so z holds no NaN and nothing
-// below +0, and such floats order as their bit patterns do: nn.
-// MaxPool2D's max is an integer max, with no NaN case and no branch on
-// which of two activations is larger (a coin toss to the predictor).
+// below +0 — what tensor.MaxPool2x2 asks, and on such planes its max
+// (VMAXPD, or an integer max of the bit patterns) is nn.MaxPool2D's bit
+// for bit.
 func (st *stage) pool(out, z []float64, units []int) {
-	w, ow := st.geom.OutW(), st.geom.OutW()/2
 	for i, o := range units {
 		dst, zp := out[o*st.plane:(o+1)*st.plane], z[i*st.r:(i+1)*st.r]
 		if st.poolK == 1 {
 			copy(dst, zp)
 			continue
 		}
-		for oy := 0; oy*ow < len(dst); oy++ {
-			d, r0, r1 := dst[oy*ow:][:ow], zp[2*oy*w:][:w], zp[(2*oy+1)*w:][:w]
-			for ox := range d {
-				d[ox] = math.Float64frombits(max(math.Float64bits(r0[2*ox]), math.Float64bits(r0[2*ox+1]),
-					math.Float64bits(r1[2*ox]), math.Float64bits(r1[2*ox+1])))
-			}
-		}
+		tensor.MaxPool2x2(dst, zp, st.geom.OutH(), st.geom.OutW())
 	}
 }
 

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -353,6 +354,70 @@ func TestSmallStepsStaySerial(t *testing.T) {
 	}
 }
 
+// TestFusedPoolMatchesIntegerMax holds every fused-pool stage of the
+// served LeNet to the scalar integer max, bit for bit, on whichever
+// backend is active (ci.sh runs both): on planes of the stage's shape
+// made of what a ReLU leaves — +0, subnormals, MaxFloat64 and positive
+// normals — and on the planes a walk to the top rung pooled, each
+// rung's panel multiplied over the kept gather again and pooled by the
+// reference.
+func TestFusedPoolMatchesIntegerMax(t *testing.T) {
+	intMax := func(dst, src []float64, h, w int) {
+		for y := 0; y < h/2; y++ {
+			for x := 0; x < w/2; x++ {
+				i := 2*y*w + 2*x
+				dst[y*(w/2)+x] = math.Float64frombits(max(math.Float64bits(src[i]), math.Float64bits(src[i+1]),
+					math.Float64bits(src[i+w]), math.Float64bits(src[i+w+1])))
+			}
+		}
+	}
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	m := servedLeNet()
+	e := NewEngine(m.Net)
+	e.Reset(gridInput(m, 1, 7))
+	e.MustStep(4)
+	special := []float64{0, math.SmallestNonzeroFloat64, 0x1p-1030, math.MaxFloat64}
+	pooled := 0
+	for i := range e.stages {
+		st := &e.stages[i]
+		if st.poolK != 2 {
+			continue
+		}
+		pooled++
+		h, w := st.geom.OutH(), st.geom.OutW()
+		r := tensor.NewRNG(uint64(70 + i))
+		z := make([]float64, 2*st.r)
+		for j := range z {
+			if z[j] = math.Abs(r.NormFloat64()); r.Intn(2) == 0 {
+				z[j] = special[r.Intn(len(special))]
+			}
+		}
+		got, want := make([]float64, 2*st.plane), make([]float64, 2*st.plane)
+		st.pool(got, z, []int{0, 1})
+		intMax(want, z, h, w)
+		intMax(want[st.plane:], z[st.r:], h, w)
+		if !sameBits(got, want) {
+			t.Fatalf("%s: pooled special planes differ from the integer max", st.name)
+		}
+		for q := 1; q < len(st.panels); q++ {
+			p := &st.panels[q]
+			zq := make([]float64, len(p.units)*st.r)
+			tensor.RungGemm(zq, p.w, st.gather, st.rowOff[:p.k], p.bias, len(p.units), p.k, st.r, st.relu)
+			for u, o := range p.units {
+				intMax(want[:st.plane], zq[u*st.r:], h, w)
+				if !sameBits(st.out.Data()[o*st.plane:(o+1)*st.plane], want[:st.plane]) {
+					t.Fatalf("%s rung %d unit %d: the walk's plane differs from the integer max of its product", st.name, q, o)
+				}
+			}
+		}
+	}
+	if pooled != 3 {
+		t.Fatalf("the served LeNet compiled %d fused pools, want one per conv", pooled)
+	}
+}
+
 // TestResetMatchesFreshEngine pins Reset's clear of the kept
 // activations. An engine that walked input A to the top rung and is
 // Reset to B — at the same batch, then at a smaller one — walks B
@@ -419,10 +484,11 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 // TestShardingOnOneProc pins the poll's gate. Under GOMAXPROCS(1) a
 // sharded step has no core per shard and must not poll: a poller would
 // hold the only P the shard it waits for needs, and every step would
-// cost a poll budget on each side. 200 batch-8 walks on two workers
-// stay bitwise the serial walk, and the best of three such runs takes
-// at most a quarter longer than the best serial run plus half a poll
-// budget a step: a poller would add two budgets a step.
+// cost a poll budget on each side. Over 200 batch-8 walks on two
+// workers each step stays bitwise the serial walk, no job the caller
+// dispatches carries poll (so the caller parks as well), and the worker
+// never polled. The hand-off's decision is asserted, not its wall
+// clock, so a loaded host cannot fail it.
 func TestShardingOnOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const walks, n = 200, 3
@@ -439,32 +505,29 @@ func TestShardingOnOneProc(t *testing.T) {
 	}
 	sharded := NewEngine(m.Net)
 	sharded.Workers, sharded.minShardMACs = 2, 0
-	defer sharded.Close()
-
-	best := func(e *Engine) time.Duration {
-		d := time.Duration(1<<63 - 1)
-		for range 3 {
-			t0 := time.Now()
-			for range walks {
-				e.Reset(x)
-				for s := 1; s <= n; s++ {
-					if out, _ := e.MustStep(s); !slices.Equal(out.Data(), want[s]) {
-						t.Fatalf("Workers=%d under GOMAXPROCS(1), step %d: output differs from the serial walk", e.Workers, s)
-					}
+	for range walks {
+		sharded.Reset(x)
+		for s := 1; s <= n; s++ {
+			if out, _ := sharded.MustStep(s); !slices.Equal(out.Data(), want[s]) {
+				t.Fatalf("step %d under GOMAXPROCS(1): output differs from the serial walk", s)
+			}
+			for i, mb := range sharded.mail {
+				if mb.job.poll {
+					t.Fatalf("step %d under GOMAXPROCS(1): worker %d was dispatched a polling job", s, i+1)
 				}
 			}
-			d = min(d, time.Since(t0))
 		}
-		return d
 	}
-	ds, dp := best(serial), best(sharded)
-	if len(sharded.mail) == 0 {
+	mail := sharded.mail
+	sharded.Close() // orders the worker's counts before the reads below
+	if len(mail) == 0 {
 		t.Fatal("the batch was never sharded")
 	}
-	if bound := ds + ds/4 + walks*n*pollBudget/2; dp > bound {
-		t.Fatalf("%d sharded walks took %v under GOMAXPROCS(1), serial %v: over the %v bound, as if a poller held the only P", walks, dp, ds, bound)
+	for i, mb := range mail {
+		if mb.polls != 0 {
+			t.Fatalf("worker %d polled %d times under GOMAXPROCS(1)", i+1, mb.polls)
+		}
 	}
-	t.Logf("%d walks under GOMAXPROCS(1): serial %v, sharded %v", walks, ds, dp)
 }
 
 // TestStageTimerAndStages pins the profiling surface: Stages lists the

@@ -35,6 +35,9 @@ func avx2Dot1x4(a0, b0, b1, b2, b3 *float64, k int, out *[4]float64)
 //go:noescape
 func avx2RungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool)
 
+//go:noescape
+func avx2MaxPool2x2(dst, src []float64, h, w int)
+
 // hasAVX2FMA records the CPUID verdict for this process.
 var hasAVX2FMA = detectAVX2FMA()
 
@@ -91,6 +94,7 @@ func useAVX2Backend() {
 	gemmTransARowsImpl = gemmTransARowsAVX2
 	gemmTransBRowsImpl = gemmTransBRowsAVX2
 	rungGemmImpl = avx2RungGemm
+	maxPool2x2Impl = avx2MaxPool2x2
 }
 
 // gemmRowsAVX2 computes rows [i0,i1) of C (+)= A·B, vectorizing the

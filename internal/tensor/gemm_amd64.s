@@ -1,20 +1,23 @@
-// AVX2+FMA micro-kernels for the GEMM backends in gemm_amd64.go, plus
-// the CPUID/XGETBV feature probes that gate them. All float64, all
-// ABI0 (stack arguments), all NOSPLIT leaf functions.
+// AVX2+FMA micro-kernels for the GEMM backends in gemm_amd64.go, the
+// inference plan's rung kernel and 2×2 max-pool, plus the CPUID/XGETBV
+// feature probes that gate them. All float64, all ABI0 (stack
+// arguments), all NOSPLIT leaf functions.
 //
 // Kernel shapes (see gemm_amd64.go for how they compose into the
 // three GEMM row kernels):
 //
-//   avx2QuadAxpy2  c0,c1 += a·B panel   2 C rows × 4 B rows, the ikj
-//                                       inner strip: 8 FMA chains per
-//                                       4-wide column block
-//   avx2QuadAxpy1  c += a·B panel       1 C row × 4 B rows
-//   avx2Dot2x4     8 dot products       2 A rows × 4 B rows (A·Bᵀ)
-//   avx2Dot1x4     4 dot products       1 A row × 4 B rows
-//   avx2RungGemm   C = act(A·B + bias)  the inference plan's rung
-//                                       kernel, whole product per call:
-//                                       4×8 C tiles held in registers
-//                                       across the k loop
+//   avx2QuadAxpy2   c0,c1 += a·B panel   2 C rows × 4 B rows, the ikj
+//                                        inner strip: 8 FMA chains per
+//                                        4-wide column block
+//   avx2QuadAxpy1   c += a·B panel       1 C row × 4 B rows
+//   avx2Dot2x4      8 dot products       2 A rows × 4 B rows (A·Bᵀ)
+//   avx2Dot1x4      4 dot products       1 A row × 4 B rows
+//   avx2RungGemm    C = act(A·B + bias)  the rung kernel, whole product
+//                                        per call: 4×8 C tiles held in
+//                                        registers across the k loop,
+//                                        a last 1–3 rows in 2×16 and
+//                                        1×32 / 1×16 tiles
+//   avx2MaxPool2x2  2×2 max of a plane   VMAXPD, four outputs a step
 //
 // Operand-order note: the Go assembler reverses Intel order, so
 // VFMADD231PD Y8, Y0, Y12 computes Y12 += Y0*Y8.
@@ -428,20 +431,27 @@ d14_store:
 // func avx2RungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool)
 //
 // c[i*n+j] = act(Σ_p a[i*k+p]·b[off[p]+j] + bias[i]) for i in [0,m),
-// j in [0,n); m, n ≥ 1, operands validated by RungGemm. Rows go in tiles
-// of four, columns in tiles of 8, then 4, then 1. A tile's
-// accumulators start at zero, take one FMA per p ascending, then the
-// bias (Y11-Y14, one register per tile row) and, if relu, VMAXPD
-// against Y15 = 0 as the SECOND source — so NaN and -0 come out +0 —
-// and are stored once. Every element is that same chain whatever tile
-// it falls in. A last tile of fewer than four rows points the missing
-// rows at row 0 of the tile (valid memory, same arithmetic) and skips
-// their stores: one k loop per column width serves every row count.
+// j in [0,n); m, n ≥ 1, operands validated by RungGemm. Every element
+// is one chain: an accumulator starts at zero, takes one FMA per p
+// ascending, then the bias and, if relu, VMAXPD against Y15 = 0 as the
+// SECOND source — so NaN and -0 come out +0 — and is stored once.
+// Tiles differ only in how many chains run side by side, eight where
+// the columns allow, which keeps both FMA units busy through the FMA's
+// four-cycle latency:
 //
-// SI, R10, R11, R12 = ends of the tile's four A rows and R9 = &off[k],
-// all indexed by BX running from -k up to 0; R13 = &b[j]; CX = rows in
-// the tile; DX = j; DI = &c[i*n]. a, bias and m advance in their
-// argument slots.
+//   - rows in tiles of four, columns in tiles of 8, then 4, then 1;
+//   - a last tile of one to three rows runs only the rows it has (a
+//     tile padded to four rows would make one row cost what four do):
+//     a pair in 2×16 tiles (rg_pair), the odd row in 1×32 tiles, then
+//     one of 1×16 (rg_single, whose FMAs read B from memory). The n%16
+//     columns these leave go through the four-row tiles, whose missing
+//     rows point at row 0 (valid memory, same arithmetic) and skip
+//     their stores.
+//
+// Four-row tiles: SI, R10, R11, R12 = ends of the tile's four A rows
+// and R9 = &off[k], all indexed by BX running from -k up to 0; R13 =
+// &b[j]; Y11-Y14 = the rows' biases; CX = rows in the tile; DX = j; DI
+// = &c[i*n]. a, bias and m advance in their argument slots.
 TEXT ·avx2RungGemm(SB), NOSPLIT, $0-145
 	MOVQ c_base+0(FP), DI
 	MOVQ b_base+48(FP), R8
@@ -454,6 +464,11 @@ rg_rows:
 	MOVQ m+120(FP), CX
 	TESTQ CX, CX
 	JLE  rg_done
+	XORQ DX, DX
+	CMPQ CX, $4
+	JLT  rg_tail
+
+rg_setup:
 	MOVQ k+128(FP), AX
 	SHLQ $3, AX
 	MOVQ a_base+24(FP), SI
@@ -467,20 +482,17 @@ rg_rows:
 	VMOVAPD Y11, Y13
 	VMOVAPD Y11, Y14
 	CMPQ CX, $2
-	JLT  rg_cols
+	JLT  rg_col8
 	LEAQ (SI)(AX*1), R10
 	VBROADCASTSD 8(BX), Y12
 	CMPQ CX, $3
-	JLT  rg_cols
+	JLT  rg_col8
 	LEAQ (R10)(AX*1), R11
 	VBROADCASTSD 16(BX), Y13
 	CMPQ CX, $4
-	JLT  rg_cols
+	JLT  rg_col8
 	LEAQ (R11)(AX*1), R12
 	VBROADCASTSD 24(BX), Y14
-
-rg_cols:
-	XORQ DX, DX
 
 rg_col8:
 	MOVQ n+136(FP), AX
@@ -695,6 +707,296 @@ rg_nextrows:
 	SUBQ $4, m+120(FP)
 	JMP  rg_rows
 
+// A last tile of one to three rows. SI, R10 = ends of the pair's A rows,
+// R11 = the end of the odd row's and R10 then its C row; R14 = &bias of
+// the pass's first row; R12 = n*8, the C row stride. Both passes stop
+// at j = n&^15 and leave the rest to rg_setup.
+rg_tail:
+	MOVQ k+128(FP), AX
+	SHLQ $3, AX
+	MOVQ a_base+24(FP), SI
+	ADDQ AX, SI
+	MOVQ bias_base+96(FP), R14
+	MOVQ n+136(FP), R12
+	SHLQ $3, R12
+	MOVQ SI, R11
+	MOVQ DI, R10
+	CMPQ CX, $2
+	JLT  rg_single
+	LEAQ (SI)(AX*1), R10
+	LEAQ (R10)(AX*1), R11
+
+rg_pair:
+	MOVQ n+136(FP), AX
+	SUBQ DX, AX
+	CMPQ AX, $16
+	JLT  rg_odd
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ (R8)(DX*8), R13
+	MOVQ k+128(FP), BX
+	NEGQ BX
+	JZ   rg_pairfin
+
+rg_pairk:
+	MOVQ (R9)(BX*8), AX
+	VMOVUPD (R13)(AX*8), Y8
+	VMOVUPD 32(R13)(AX*8), Y9
+	VMOVUPD 64(R13)(AX*8), Y10
+	VMOVUPD 96(R13)(AX*8), Y11
+	VBROADCASTSD (SI)(BX*8), Y12
+	VFMADD231PD Y8, Y12, Y0
+	VFMADD231PD Y9, Y12, Y1
+	VFMADD231PD Y10, Y12, Y2
+	VFMADD231PD Y11, Y12, Y3
+	VBROADCASTSD (R10)(BX*8), Y13
+	VFMADD231PD Y8, Y13, Y4
+	VFMADD231PD Y9, Y13, Y5
+	VFMADD231PD Y10, Y13, Y6
+	VFMADD231PD Y11, Y13, Y7
+	INCQ BX
+	JNZ  rg_pairk
+
+rg_pairfin:
+	VBROADCASTSD (R14), Y12
+	VBROADCASTSD 8(R14), Y13
+	VADDPD Y12, Y0, Y0
+	VADDPD Y12, Y1, Y1
+	VADDPD Y12, Y2, Y2
+	VADDPD Y12, Y3, Y3
+	VADDPD Y13, Y4, Y4
+	VADDPD Y13, Y5, Y5
+	VADDPD Y13, Y6, Y6
+	VADDPD Y13, Y7, Y7
+	CMPB relu+144(FP), $0
+	JEQ  rg_pairstore
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y1, Y1
+	VMAXPD Y15, Y2, Y2
+	VMAXPD Y15, Y3, Y3
+	VMAXPD Y15, Y4, Y4
+	VMAXPD Y15, Y5, Y5
+	VMAXPD Y15, Y6, Y6
+	VMAXPD Y15, Y7, Y7
+
+rg_pairstore:
+	LEAQ (DI)(DX*8), BX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, 64(BX)
+	VMOVUPD Y3, 96(BX)
+	VMOVUPD Y4, (BX)(R12*1)
+	VMOVUPD Y5, 32(BX)(R12*1)
+	VMOVUPD Y6, 64(BX)(R12*1)
+	VMOVUPD Y7, 96(BX)(R12*1)
+	ADDQ $16, DX
+	JMP  rg_pair
+
+rg_odd:
+	CMPQ CX, $3
+	JLT  rg_tailrest
+	LEAQ (DI)(R12*2), R10
+	ADDQ $16, R14
+	XORQ DX, DX
+
+rg_single:
+	MOVQ n+136(FP), AX
+	SUBQ DX, AX
+	CMPQ AX, $32
+	JLT  rg_single16
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ (R8)(DX*8), R13
+	MOVQ k+128(FP), BX
+	NEGQ BX
+	JZ   rg_singlefin
+
+rg_singlek:
+	MOVQ (R9)(BX*8), AX
+	VBROADCASTSD (R11)(BX*8), Y12
+	VFMADD231PD (R13)(AX*8), Y12, Y0
+	VFMADD231PD 32(R13)(AX*8), Y12, Y1
+	VFMADD231PD 64(R13)(AX*8), Y12, Y2
+	VFMADD231PD 96(R13)(AX*8), Y12, Y3
+	VFMADD231PD 128(R13)(AX*8), Y12, Y4
+	VFMADD231PD 160(R13)(AX*8), Y12, Y5
+	VFMADD231PD 192(R13)(AX*8), Y12, Y6
+	VFMADD231PD 224(R13)(AX*8), Y12, Y7
+	INCQ BX
+	JNZ  rg_singlek
+
+rg_singlefin:
+	VBROADCASTSD (R14), Y12
+	VADDPD Y12, Y0, Y0
+	VADDPD Y12, Y1, Y1
+	VADDPD Y12, Y2, Y2
+	VADDPD Y12, Y3, Y3
+	VADDPD Y12, Y4, Y4
+	VADDPD Y12, Y5, Y5
+	VADDPD Y12, Y6, Y6
+	VADDPD Y12, Y7, Y7
+	CMPB relu+144(FP), $0
+	JEQ  rg_singlestore
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y1, Y1
+	VMAXPD Y15, Y2, Y2
+	VMAXPD Y15, Y3, Y3
+	VMAXPD Y15, Y4, Y4
+	VMAXPD Y15, Y5, Y5
+	VMAXPD Y15, Y6, Y6
+	VMAXPD Y15, Y7, Y7
+
+rg_singlestore:
+	LEAQ (R10)(DX*8), BX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, 64(BX)
+	VMOVUPD Y3, 96(BX)
+	VMOVUPD Y4, 128(BX)
+	VMOVUPD Y5, 160(BX)
+	VMOVUPD Y6, 192(BX)
+	VMOVUPD Y7, 224(BX)
+	ADDQ $32, DX
+	JMP  rg_single
+
+rg_single16:
+	CMPQ AX, $16
+	JLT  rg_tailrest
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ (R8)(DX*8), R13
+	MOVQ k+128(FP), BX
+	NEGQ BX
+	JZ   rg_single16fin
+
+rg_single16k:
+	MOVQ (R9)(BX*8), AX
+	VBROADCASTSD (R11)(BX*8), Y12
+	VFMADD231PD (R13)(AX*8), Y12, Y0
+	VFMADD231PD 32(R13)(AX*8), Y12, Y1
+	VFMADD231PD 64(R13)(AX*8), Y12, Y2
+	VFMADD231PD 96(R13)(AX*8), Y12, Y3
+	INCQ BX
+	JNZ  rg_single16k
+
+rg_single16fin:
+	VBROADCASTSD (R14), Y12
+	VADDPD Y12, Y0, Y0
+	VADDPD Y12, Y1, Y1
+	VADDPD Y12, Y2, Y2
+	VADDPD Y12, Y3, Y3
+	CMPB relu+144(FP), $0
+	JEQ  rg_single16store
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y1, Y1
+	VMAXPD Y15, Y2, Y2
+	VMAXPD Y15, Y3, Y3
+
+rg_single16store:
+	LEAQ (R10)(DX*8), BX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, 64(BX)
+	VMOVUPD Y3, 96(BX)
+	ADDQ $16, DX
+
+rg_tailrest:
+	CMPQ DX, n+136(FP)
+	JLT  rg_setup
+
 rg_done:
+	VZEROUPPER
+	RET
+
+// func avx2MaxPool2x2(dst, src []float64, h, w int)
+//
+// dst[y*(w/2)+x] = the largest of src's 2×2 window at (2y, 2x) for
+// y < h/2, x < w/2, operands validated by MaxPool2x2, by VMAXPD — on
+// inputs ≥ +0 and free of NaN the exact max, bitwise the scalar
+// kernel's integer max. Four outputs a step: the vertical maxima of
+// eight columns, their pairs split by UNPCKL/HPD and maxed, VPERMPD
+// putting the four back in order; then two, then one. SI, R10 = the
+// window's input rows, DI = the output row, BX = 2x, DX = x, R9 = w/2,
+// R8 = two input rows in bytes.
+TEXT ·avx2MaxPool2x2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ h+48(FP), CX
+	SHRQ $1, CX
+	JZ   mp_done
+	MOVQ w+56(FP), R8
+	MOVQ R8, R9
+	SHRQ $1, R9
+	LEAQ (SI)(R8*8), R10
+	SHLQ $4, R8
+
+mp_rows:
+	XORQ DX, DX
+	XORQ BX, BX
+
+mp_col4:
+	MOVQ R9, AX
+	SUBQ DX, AX
+	CMPQ AX, $4
+	JLT  mp_col2
+	VMOVUPD (SI)(BX*8), Y0
+	VMOVUPD 32(SI)(BX*8), Y1
+	VMAXPD (R10)(BX*8), Y0, Y0
+	VMAXPD 32(R10)(BX*8), Y1, Y1
+	VUNPCKLPD Y1, Y0, Y2
+	VUNPCKHPD Y1, Y0, Y3
+	VMAXPD Y3, Y2, Y2
+	VPERMPD $0xd8, Y2, Y2
+	VMOVUPD Y2, (DI)(DX*8)
+	ADDQ $4, DX
+	ADDQ $8, BX
+	JMP  mp_col4
+
+mp_col2:
+	CMPQ AX, $2
+	JLT  mp_col1
+	VMOVUPD (SI)(BX*8), X0
+	VMOVUPD 16(SI)(BX*8), X1
+	VMAXPD (R10)(BX*8), X0, X0
+	VMAXPD 16(R10)(BX*8), X1, X1
+	VUNPCKLPD X1, X0, X2
+	VUNPCKHPD X1, X0, X3
+	VMAXPD X3, X2, X2
+	VMOVUPD X2, (DI)(DX*8)
+	ADDQ $2, DX
+	ADDQ $4, BX
+	SUBQ $2, AX
+
+mp_col1:
+	TESTQ AX, AX
+	JZ   mp_next
+	VMOVUPD (SI)(BX*8), X0
+	VMAXPD (R10)(BX*8), X0, X0
+	VPERMILPD $1, X0, X1
+	VMAXSD X1, X0, X0
+	VMOVSD X0, (DI)(DX*8)
+
+mp_next:
+	ADDQ R8, SI
+	ADDQ R8, R10
+	LEAQ (DI)(R9*8), DI
+	DECQ CX
+	JNZ  mp_rows
+
+mp_done:
 	VZEROUPPER
 	RET

@@ -26,6 +26,7 @@ func skipNoAVX2(t *testing.T) {
 func TestSIMDRowKernelsMatchScalar(t *testing.T) {
 	skipNoAVX2(t)
 	checkRungGrid(t, "avx2RungGemm", avx2RungGemm)
+	checkPoolGrid(t, "avx2MaxPool2x2", avx2MaxPool2x2)
 	r := NewRNG(71)
 	checkAllShapes(t, func(t *testing.T, m, k, n int) {
 		a := randMat(r, m, k)
@@ -146,6 +147,7 @@ func TestBackendCrossCheck(t *testing.T) {
 	for _, use := range []func(){useScalarBackend, useAVX2Backend} {
 		use()
 		checkRungGrid(t, Backend()+" RungGemm", RungGemm)
+		checkPoolGrid(t, Backend()+" MaxPool2x2", MaxPool2x2)
 	}
 	for _, parallel := range []bool{false, true} {
 		if parallel {

@@ -1,8 +1,9 @@
 package tensor
 
 // GEMM backend dispatch. The three row-range kernels behind Gemm,
-// GemmTransA and GemmTransB and the kernel behind RungGemm are selected
-// once at startup through the function variables below: the portable
+// GemmTransA and GemmTransB and the kernels behind RungGemm and
+// MaxPool2x2 are selected once at startup through the function
+// variables below: the portable
 // scalar kernels (matmul.go) are the default everywhere, and on amd64
 // builds without the purego tag an init in gemm_amd64.go swaps in
 // AVX2+FMA assembly kernels when the CPU supports them (see
@@ -26,6 +27,7 @@ var (
 	gemmTransARowsImpl func(c, a, b []float64, i0, i1, m, k, n int, accumulate bool)              = gemmTransARows
 	gemmTransBRowsImpl func(c, a, b []float64, i0, i1, k, n int, accumulate bool)                 = gemmTransBRows
 	rungGemmImpl       func(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool) = rungGemm
+	maxPool2x2Impl     func(dst, src []float64, h, w int)                                         = maxPool2x2
 )
 
 // backendName names the backend the impl variables currently point
@@ -47,4 +49,5 @@ func useScalarBackend() {
 	gemmTransARowsImpl = gemmTransARows
 	gemmTransBRowsImpl = gemmTransBRows
 	rungGemmImpl = rungGemm
+	maxPool2x2Impl = maxPool2x2
 }

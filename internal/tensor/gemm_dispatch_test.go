@@ -53,6 +53,7 @@ func TestForcedScalarBackend(t *testing.T) {
 	})
 	checkRungGrid(t, "scalar RungGemm", RungGemm)
 	checkRungWidthInvariance(t, "scalar RungGemm", RungGemm)
+	checkPoolGrid(t, "scalar MaxPool2x2", MaxPool2x2)
 }
 
 // rungFn is RungGemm's signature: the public entry point or one of
@@ -195,6 +196,64 @@ func checkRungWidthInvariance(t *testing.T, name string, fn rungFn) {
 				}
 			}
 		}
+	}
+}
+
+// poolFn is MaxPool2x2's signature: the public entry point or one of
+// the kernels behind it.
+type poolFn func(dst, src []float64, h, w int)
+
+// checkPoolGrid holds fn bitwise to the scalar integer max over plane
+// heights 2…9 and widths 2…18, odd ones included, on what a ReLU
+// leaves: positive normals, +0, subnormals and MaxFloat64, alone and
+// mixed. The output has a guard element fn must not touch.
+func checkPoolGrid(t *testing.T, name string, fn poolFn) {
+	t.Helper()
+	r := NewRNG(97)
+	special := []float64{0, math.SmallestNonzeroFloat64, 0x1p-1030, math.MaxFloat64}
+	for h := 2; h <= 9; h++ {
+		for w := 2; w <= 18; w++ {
+			for variant := 0; variant < 3; variant++ { // normals, specials, mixed
+				src := make([]float64, h*w)
+				for i := range src {
+					if src[i] = math.Abs(r.NormFloat64()); variant == 1 || variant == 2 && r.Intn(2) == 0 {
+						src[i] = special[r.Intn(len(special))]
+					}
+				}
+				n := (h / 2) * (w / 2)
+				want, got := make([]float64, n+1), make([]float64, n+1)
+				want[n], got[n] = 77, 77
+				maxPool2x2(want, src, h, w)
+				fn(got, src, h, w)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %dx%d variant %d: dst[%d] = %v, the integer max is %v", name, h, w, variant, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxPool2x2RejectsBadOperands: a slice too short for the shape
+// panics with the entry point's own message on the active backend.
+func TestMaxPool2x2RejectsBadOperands(t *testing.T) {
+	for name, c := range map[string]struct {
+		dst, src []float64
+		h, w     int
+	}{
+		"short src":  {make([]float64, 4), make([]float64, 15), 4, 4},
+		"short dst":  {make([]float64, 3), make([]float64, 16), 4, 4},
+		"negative h": {nil, nil, -2, 4},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "tensor: MaxPool2x2") {
+					t.Errorf("%s: want a MaxPool2x2 panic, got %q", name, msg)
+				}
+			}()
+			MaxPool2x2(c.dst, c.src, c.h, c.w)
+		}()
 	}
 }
 

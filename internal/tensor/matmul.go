@@ -1,13 +1,17 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the matrix-multiply substrate: three raw-slice
 // kernels (Gemm, GemmTransA, GemmTransB), the Tensor-level wrappers
-// built on them, and the inference plan's rung kernel (RungGemm). The
-// three are register-tiled — the inner loops carry four independent
-// multiply-add chains so the compiler can keep partial products in
-// registers and the CPU can overlap the FMA latency — and row-blocked:
+// built on them, and the inference plan's rung kernel (RungGemm) with
+// the 2×2 max-pool that follows it (MaxPool2x2). The three are
+// register-tiled — the inner loops carry four independent multiply-add
+// chains so the compiler can keep partial products in registers and
+// the CPU can overlap the FMA latency — and row-blocked:
 // output rows are processed in small blocks that a work-stealing
 // scheduler (parallel.go) distributes across GOMAXPROCS goroutines
 // once the product is large enough to amortize the fan-out (see
@@ -125,14 +129,17 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 // is how a convolution's shifted windows share one copy of the input.
 // bias[i] is added to row i and, with relu set, negatives, -0 and NaN
 // become +0, all before the only store to C. It runs on the calling
-// goroutine: a rung's panel is smaller than the arena's wake-up.
+// goroutine: a rung's panel is smaller than the arena's wake-up. A
+// panel costs what its rows do: on avx2 the rows past the last whole
+// tile of four run in tiles of one or two rows, not padded to four
+// (all but the last n mod 16 columns).
 //
 // Rounding contract: element (i,j) is acc = a[i][p]·B[p][j] + acc over
 // p ascending from 0 (fused on avx2), + bias[i], then the activation —
-// in vector bodies and tails alike, zero weights included — so its
-// bits depend on nothing else the product holds, m and n included. A
-// slice too short for the shape, or a view that leaves b, panics before
-// any kernel runs.
+// in every tile shape, body and tail alike, zero weights included — so
+// its bits depend on nothing else the product holds, m and n included.
+// A slice too short for the shape, or a view that leaves b, panics
+// before any kernel runs.
 func RungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bool) {
 	far := uint(0) // the farthest view; a negative offset wraps beyond any
 	for _, o := range off[:max(0, min(k, len(off)))] {
@@ -142,6 +149,22 @@ func RungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bo
 		panic(fmt.Sprintf("tensor: RungGemm %dx%dx%d: len(a)=%d len(c)=%d len(off)=%d len(bias)=%d, farthest view at %d of len(b)=%d", m, k, n, len(a), len(c), len(off), len(bias), int(far), len(b)))
 	}
 	rungGemmImpl(c, a, b, off[:k], bias, m, k, n, relu)
+}
+
+// MaxPool2x2 writes the 2×2 max-pool of the h×w plane src to dst:
+// dst[y*(w/2)+x] is the largest of src's window at (2y, 2x), for
+// y < h/2 and x < w/2 (an odd last row or column is dropped). src must
+// hold no NaN and nothing below +0 — a ReLU's output, which is what
+// RungGemm leaves with relu set. Such floats order as their bit
+// patterns do, so the scalar kernel takes an integer max (no NaN case,
+// no branch on which value is larger) and the avx2 one VMAXPD, and the
+// two agree bit for bit. A slice too short for the shape panics before
+// any kernel runs.
+func MaxPool2x2(dst, src []float64, h, w int) {
+	if h < 0 || w < 0 || len(src) < h*w || len(dst) < (h/2)*(w/2) {
+		panic(fmt.Sprintf("tensor: MaxPool2x2 %dx%d: len(src)=%d len(dst)=%d", h, w, len(src), len(dst)))
+	}
+	maxPool2x2Impl(dst, src, h, w)
 }
 
 // GemmTransA computes C (+)= Aᵀ·B on raw slices: A is k×m, B is k×n,
@@ -498,6 +521,18 @@ func rungGemm(c, a, b []float64, off []int, bias []float64, m, k, n int, relu bo
 				v = 0
 			}
 			crow[j] = v
+		}
+	}
+}
+
+// maxPool2x2 is MaxPool2x2's portable kernel.
+func maxPool2x2(dst, src []float64, h, w int) {
+	ow := w / 2
+	for oy := 0; oy < h/2; oy++ {
+		d, r0, r1 := dst[oy*ow:][:ow], src[2*oy*w:][:w], src[(2*oy+1)*w:][:w]
+		for ox := range d {
+			d[ox] = math.Float64frombits(max(math.Float64bits(r0[2*ox]), math.Float64bits(r0[2*ox+1]),
+				math.Float64bits(r1[2*ox]), math.Float64bits(r1[2*ox+1])))
 		}
 	}
 }

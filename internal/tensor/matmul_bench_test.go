@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Kernel microbenchmarks at the shapes the conv/dense layers actually
 // hit, for tuning the register tiling without running full models.
@@ -50,6 +53,34 @@ func BenchmarkGemmTransBConvShape(bm *testing.B) {
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
 		GemmTransB(c, a, b, 84, 423, 64, false)
+	}
+}
+
+// BenchmarkRungGemm times the rung kernel at the served LeNet's three
+// conv shapes (k × n: conv1 27×256, conv2 90×64, conv3 234×16) for
+// every panel height a rung adds there, so a row count that costs a
+// whole tile of four shows as a flat step. B is laid out as the step
+// plan gathers a 3×3 same-padded conv: per input channel three
+// vertically padded copies of its plane, row (c,ky,kx) the window at
+// ky·w of copy (c,kx).
+func BenchmarkRungGemm(bm *testing.B) {
+	for _, sh := range []struct{ ch, w int }{{3, 16}, {10, 8}, {26, 4}} {
+		k, n, copyLen := 9*sh.ch, sh.w*sh.w, (sh.w+2)*sh.w
+		for m := 1; m <= 8; m++ {
+			bm.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(bm *testing.B) {
+				_, a, _ := benchMats(m, k, 0)
+				c, b := make([]float64, m*n), make([]float64, 3*sh.ch*copyLen)
+				off, bias := make([]int, k), make([]float64, m)
+				for p := range off {
+					ch, ky, kx := p/9, p/3%3, p%3
+					off[p] = (3*ch+kx)*copyLen + ky*sh.w
+				}
+				bm.ResetTimer()
+				for i := 0; i < bm.N; i++ {
+					RungGemm(c, a, b, off, bias, m, k, n, true)
+				}
+			})
+		}
 	}
 }
 
