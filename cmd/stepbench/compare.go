@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -54,20 +55,24 @@ var relations = []struct {
 	// on two); on one core it is walked serially, not at a loss.
 	{name: "anytime_walk_lenet3c1l", ref: "anytime_walk_lenet3c1l_b1", factor: 8 * 0.75, minCPU: 2, why: "a batch of 8 on two cores or more against eight lone images"},
 	{name: "anytime_walk_lenet3c1l", ref: "anytime_walk_lenet3c1l_b1", factor: 8 * 1.05, maxCPU: 1, why: "a batch of 8 on one core against eight lone images"},
-	// The codec reads each float once, in its own pass: well under what
-	// strconv alone takes for the same tokens (measured 0.46–0.48).
-	{name: "wire_decode_768", ref: "wire_parsefloat_768", factor: 0.6, why: "the whole request decode against strconv.ParseFloat on its 768 tokens"},
+	// The codec reads each float once, in its own pass, eight digits to
+	// a word: about a third of what strconv alone takes for the same
+	// tokens (the byte-at-a-time reader before it measured 0.46–0.48).
+	{name: "wire_decode_768", ref: "wire_parsefloat_768", factor: 0.35, why: "the whole request decode against strconv.ParseFloat on its 768 tokens"},
 	// The key is a word-at-a-time fold (measured 0.023; the bytewise
 	// hash it replaced read 0.15).
 	{name: "cache_keyof_768", ref: "wire_parsefloat_768", factor: 0.05, why: "hashing the input against parsing it"},
-	// A text the handler has parsed before costs one pass of a hash over
-	// it, not its numbers again (measured 0.06–0.08).
-	{name: "wire_known_768", ref: "wire_decode_768", factor: 0.15, why: "recognising an input text against decoding it"},
+	// The two relations below are priced in strconv's time, not the
+	// decode's, so a faster decode does not tighten them. A text the
+	// handler has parsed before costs one pass of a hash over it, not
+	// its numbers again (measured 0.06–0.08 of a decode, 0.03–0.04 of
+	// strconv).
+	{name: "wire_known_768", ref: "wire_parsefloat_768", factor: 0.07, why: "recognising an input text against parsing its numbers"},
 	// A cached hit is the exchange plus well under one decode: nothing
 	// of it parses a float, queues or changes goroutine (measured 0.2–0.5
 	// of a decode above the floor, the pair's runs alternating; it was
 	// 1.7 while a hit parsed its input and crossed the queue).
-	{name: "http_b1_cached", ref: "http_b1_empty", factor: 1, plus: "wire_decode_768", plusFactor: 0.6, why: "a cached hit over loopback against the same POST to a handler that discards it, plus 0.6 of a decode"},
+	{name: "http_b1_cached", ref: "http_b1_empty", factor: 1, plus: "wire_parsefloat_768", plusFactor: 0.28, why: "a cached hit over loopback against the same POST to a handler that discards it, plus 0.28 of strconv on the input"},
 	// A routed hit is one more exchange, not a second stack: the router
 	// pools its buffers and Remote writes the forwarded text by reference
 	// (measured 1.64 × and +4.3 KB; through net/http's client it was
@@ -110,11 +115,11 @@ func noiseThreshold(name string) float64 {
 //     rung panel ≤ 0.6 × a four-row one, the batch-8 walk ≤ 8 × 0.75 ×
 //     the batch-1 walk on two cores or more, counted as the fewer of
 //     num_cpu and gomaxprocs (8 × 1.05 × on one),
-//     wire_decode_768 ≤ 0.6 × and cache_keyof_768 ≤
-//     0.05 × wire_parsefloat_768, wire_known_768 ≤ 0.15 ×
-//     wire_decode_768, http_b1_cached ≤ http_b1_empty + 0.6 ×
-//     wire_decode_768, route_b1_cached ≤ 2.5 × http_b1_cached in ns/op
-//     and ≤ http_b1_cached + 8 KiB in B/op.
+//     wire_decode_768 ≤ 0.35 ×, cache_keyof_768 ≤ 0.05 × and
+//     wire_known_768 ≤ 0.07 × wire_parsefloat_768, http_b1_cached ≤
+//     http_b1_empty + 0.28 × wire_parsefloat_768, route_b1_cached ≤
+//     2.5 × http_b1_cached in ns/op and ≤ http_b1_cached + 8 KiB in
+//     B/op.
 //
 // New benchmarks absent from the old baseline are reported and, when
 // allocating, never fail, so adding coverage stays cheap. New
@@ -145,6 +150,43 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 		return err
 	}
 	sameBackend := oldBase.Backend == newBase.Backend
+	failures := compareResults(os.Stdout, oldBase, newBase, oldPath, newPath, update, strict)
+	if len(failures) > 0 {
+		fmt.Println()
+		for _, f := range failures {
+			fmt.Printf("REGRESSION: %s\n", f)
+		}
+		return fmt.Errorf("%d benchmark regression(s)", len(failures))
+	}
+	if !sameBackend {
+		fmt.Printf("\nno regressions — but WARNING: ns/op was NOT GATED (backends differ: %s -> %s)\n", orUnknown(oldBase.Backend), orUnknown(newBase.Backend))
+	} else {
+		fmt.Println("\nno regressions")
+	}
+
+	if update {
+		if !sameBackend {
+			fmt.Printf("baseline NOT updated: %s was produced by backend %q, this machine produced %q\n",
+				oldPath, oldBase.Backend, newBase.Backend)
+			return nil
+		}
+		data, err := os.ReadFile(newPath)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(oldPath, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("baseline updated: %s <- %s\n", oldPath, newPath)
+	}
+	return nil
+}
+
+// compareResults applies compareBaselines' rules to the two files'
+// contents, writes the per-benchmark table to w, and returns one line
+// per failed rule. The paths only name the files in what it writes.
+func compareResults(w io.Writer, oldBase, newBase *benchBaseline, oldPath, newPath string, update, strict bool) (failures []string) {
+	sameBackend := oldBase.Backend == newBase.Backend
 	// A backend mismatch must be impossible to miss in CI logs: it
 	// means every ns/op verdict below is ungated, and a reader skimming
 	// for "no regressions" would otherwise take the run as a clean
@@ -153,8 +195,8 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 	backendPair := ""
 	if !sameBackend {
 		backendPair = fmt.Sprintf("%s -> %s", orUnknown(oldBase.Backend), orUnknown(newBase.Backend))
-		fmt.Printf("WARNING: baseline backends differ (%s): ns/op is incomparable and NOT GATED this run\n", backendPair)
-		fmt.Printf("WARNING: only the allocs/op gate applies; rerun with matching backends to gate wall-clock\n")
+		fmt.Fprintf(w, "WARNING: baseline backends differ (%s): ns/op is incomparable and NOT GATED this run\n", backendPair)
+		fmt.Fprintf(w, "WARNING: only the allocs/op gate applies; rerun with matching backends to gate wall-clock\n")
 	}
 
 	names := make([]string, 0, len(oldBase.Results)+len(newBase.Results))
@@ -168,29 +210,28 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 	}
 	sort.Strings(names)
 
-	var failures []string
-	fmt.Printf("%-28s %12s %12s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "Δ", "verdict")
+	fmt.Fprintf(w, "%-28s %12s %12s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "Δ", "verdict")
 	for _, name := range names {
 		o, haveOld := oldBase.Results[name]
 		n, haveNew := newBase.Results[name]
 		switch {
 		case !haveNew:
-			fmt.Printf("%-28s %12d %12s %8s  MISSING from new baseline\n", name, o.NsPerOp, "-", "-")
+			fmt.Fprintf(w, "%-28s %12d %12s %8s  MISSING from new baseline\n", name, o.NsPerOp, "-", "-")
 			failures = append(failures, fmt.Sprintf("%s: missing from %s", name, newPath))
 			continue
 		case !haveOld:
 			if n.AllocsPerOp == 0 {
-				fmt.Printf("%-28s %12s %12d %8s  new ZERO-ALLOC benchmark missing from baseline\n", name, "-", n.NsPerOp, "-")
+				fmt.Fprintf(w, "%-28s %12s %12d %8s  new ZERO-ALLOC benchmark missing from baseline\n", name, "-", n.NsPerOp, "-")
 				msg := fmt.Sprintf("%s: new zero-alloc benchmark not in %s — refresh the baseline or its alloc contract is ungated", name, oldPath)
 				switch {
 				case update: // this run is the refresh
 				case strict:
 					failures = append(failures, msg)
 				default:
-					fmt.Printf("WARNING: %s\n", msg)
+					fmt.Fprintf(w, "WARNING: %s\n", msg)
 				}
 			} else {
-				fmt.Printf("%-28s %12s %12d %8s  new benchmark\n", name, "-", n.NsPerOp, "-")
+				fmt.Fprintf(w, "%-28s %12s %12d %8s  new benchmark\n", name, "-", n.NsPerOp, "-")
 			}
 			continue
 		}
@@ -223,7 +264,7 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 			// let the ns/op gate decide.
 			verdict += fmt.Sprintf(" [allocs %d -> %d]", o.AllocsPerOp, n.AllocsPerOp)
 		}
-		fmt.Printf("%-28s %12d %12d %+7.0f%%  %s\n", name, o.NsPerOp, n.NsPerOp, delta*100, verdict)
+		fmt.Fprintf(w, "%-28s %12d %12d %+7.0f%%  %s\n", name, o.NsPerOp, n.NsPerOp, delta*100, verdict)
 	}
 
 	cores := newBase.NumCPU
@@ -253,35 +294,7 @@ func compareBaselines(oldPath, newPath string, update, strict bool) error {
 		}
 	}
 
-	if len(failures) > 0 {
-		fmt.Println()
-		for _, f := range failures {
-			fmt.Printf("REGRESSION: %s\n", f)
-		}
-		return fmt.Errorf("%d benchmark regression(s)", len(failures))
-	}
-	if !sameBackend {
-		fmt.Printf("\nno regressions — but WARNING: ns/op was NOT GATED (backends differ: %s)\n", backendPair)
-	} else {
-		fmt.Println("\nno regressions")
-	}
-
-	if update {
-		if !sameBackend {
-			fmt.Printf("baseline NOT updated: %s was produced by backend %q, this machine produced %q\n",
-				oldPath, oldBase.Backend, newBase.Backend)
-			return nil
-		}
-		data, err := os.ReadFile(newPath)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(oldPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("baseline updated: %s <- %s\n", oldPath, newPath)
-	}
-	return nil
+	return failures
 }
 
 // orUnknown names an empty backend tag (baselines predating the tag)

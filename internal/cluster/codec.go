@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -23,9 +24,12 @@ import (
 // together — plus one rule encoding/json's streaming Decoder does not
 // have: nothing but whitespace may follow the object. The answer
 // writer's bytes are json.NewEncoder(w).Encode's. Numbers are read
-// once: the pass that checks a token's grammar gathers its digits,
-// parseFloat rounds them exactly (Eisel–Lemire) and leaves to strconv,
-// on the same token, only what it cannot decide.
+// once: the pass that checks a token's grammar gathers its digits eight
+// to a word, parseFloat rounds them exactly (one exact division or
+// multiply, else Eisel–Lemire) and leaves to strconv, on the same
+// token, only what it cannot decide. An array element in the form the
+// writers give most numbers, -0.d…, takes shortFloat, a fixed run of
+// word steps over a subset of the same grammar.
 
 // jsonMaxDepth is encoding/json's nesting bound, counted in open
 // containers including the request object itself.
@@ -231,15 +235,18 @@ func (s *floatSlots) decode(b []byte, i int) (vals []float64, pure bool, end int
 			copy(grown, s.buf[:s.live])
 			s.buf = grown
 		}
-		if bytes.HasPrefix(b[i:], nullLit) {
+		if i < len(b) && b[i] == 'n' && bytes.HasPrefix(b[i:], nullLit) {
 			if n >= s.live {
 				s.buf[n] = 0
 			}
 			pure = false
 			i += len(nullLit)
 		} else {
-			var stop int
-			if s.buf[n], stop, err = parseFloat(b, i); stop < 0 {
+			f, stop, ok := shortFloat(b, i)
+			if !ok {
+				f, stop, err = parseFloat(b, i)
+			}
+			if s.buf[n] = f; stop < 0 {
 				return nil, false, i, codecErr(b, i, "want a number in the array")
 			} else if err != nil {
 				return nil, false, i, codecErr(b, i, "number out of float64 range")
@@ -248,6 +255,10 @@ func (s *floatSlots) decode(b []byte, i int) (vals []float64, pure bool, end int
 		}
 		n++
 		s.live = max(s.live, n)
+		if i < len(b) && b[i] == ',' { // the writers' form: no space before the comma
+			i = skipSpace(b, i+1)
+			continue
+		}
 		i = skipSpace(b, i)
 		if i < len(b) && b[i] == ',' {
 			i = skipSpace(b, i+1)
@@ -315,7 +326,7 @@ func unquoteKey(dst, key []byte) []byte {
 }
 
 func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
 		i++
 	}
 	return i
@@ -344,7 +355,9 @@ func scanNumber(b []byte, i int) int {
 func parseFloat(b []byte, i int) (f float64, end int, err error) {
 	man, exp10, neg, end, exact := scanDecimal(b, i)
 	if exact {
-		f, exact = eiselLemire(man, exp10)
+		if f, exact = exactFloat(man, exp10); !exact {
+			f, exact = eiselLemire(man, exp10)
+		}
 	}
 	if neg {
 		f = -f
@@ -371,10 +384,7 @@ func scanDecimal(b []byte, i int) (man uint64, exp10 int, neg bool, end int, exa
 		i++
 		first = i
 	} else {
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			man = man*10 + uint64(b[i]-'0')
-		}
-		if i == first {
+		if man, i = digitRun(b, i, 0); i == first {
 			return 0, 0, neg, -1, false
 		}
 	}
@@ -385,10 +395,7 @@ func scanDecimal(b []byte, i int) (man uint64, exp10 int, neg bool, end int, exa
 		for ; man == 0 && i < len(b) && b[i] == '0'; i++ {
 		}
 		sig := i
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			man = man*10 + uint64(b[i]-'0')
-		}
-		if i == frac {
+		if man, i = digitRun(b, i, man); i == frac {
 			return 0, 0, neg, -1, false
 		}
 		nd, exp10 = nd+i-sig, frac-i
@@ -414,6 +421,145 @@ func scanDecimal(b []byte, i int) (man uint64, exp10 int, neg bool, end int, exa
 		exp10 += e
 	}
 	return man, exp10, neg, i, nd <= 19
+}
+
+// shortFloat reads the form the writers of this service's bodies give
+// most numbers, -?D.D+ with 8 to 19 fraction digits and no exponent, in
+// a fixed run of word steps, and rounds it as parseFloat would. ok is
+// false for any other token, for one that starts within 27 bytes of the
+// end of b, and for the rare one Eisel–Lemire cannot decide: parseFloat
+// reads those. It accepts a strict subset of scanDecimal's grammar, and
+// its only branches are the ones that turn a token away and the choice
+// between the exact division and Eisel–Lemire.
+func shortFloat(b []byte, i int) (f float64, end int, ok bool) {
+	if len(b)-i < 27 {
+		return 0, -1, false
+	}
+	var sign uint64 // a select, not a branch: half the tokens are negative
+	if b[i] == '-' {
+		sign = 1
+	}
+	t := b[i+int(sign):][:26] // one bounds check for every read below
+	d0 := uint64(t[0]) - '0'
+	if d0 > 9 || t[1] != '.' {
+		return 0, -1, false
+	}
+	w1 := binary.LittleEndian.Uint64(t[2:10])
+	w2 := binary.LittleEndian.Uint64(t[10:18])
+	w3 := binary.LittleEndian.Uint64(t[18:26])
+	if nonDigits(w1) != 0 {
+		return 0, -1, false
+	}
+	k2 := bits.TrailingZeros64(nonDigits(w2)) >> 3
+	k3 := bits.TrailingZeros64(nonDigits(w3)) >> 3
+	if k2 < 8 {
+		k3 = 0
+	}
+	nf := 8 + k2 + k3 // fraction digits; man < 10^19 with d0 ahead of them
+	if nf > 19 || nf == 19 && d0 != 0 || t[2+nf]|0x20 == 'e' {
+		return 0, -1, false
+	}
+	man := (d0*1e8+eightDigits(w1))*smallPow10[k2] + eightDigits(leadDigits(w2, k2))
+	man = man*smallPow10[k3] + eightDigits(leadDigits(w3, k3))
+	if man>>53 == 0 {
+		f = float64(man) / exactPow10[nf] // exactFloat's case, inline
+	} else if f, ok = eiselLemire(man, -nf); !ok {
+		return 0, -1, false
+	}
+	return math.Float64frombits(math.Float64bits(f) | sign<<63), i + int(sign) + 2 + nf, true
+}
+
+// nonDigits has the high bit set of each byte of w that is not '0'…'9'
+// up to and including the first such byte: w-'0' borrows below '0',
+// w+0x46 carries above '9', and no byte at or below the first flagged
+// one is disturbed by its neighbours.
+func nonDigits(w uint64) uint64 {
+	return ((w + 0x4646464646464646) | (w - 0x3030303030303030)) & 0x8080808080808080
+}
+
+// leadDigits keeps the first k bytes of w (k ≤ 8) as the last k digits
+// of an eight-digit word, '0's ahead of them.
+func leadDigits(w uint64, k int) uint64 {
+	return w*leadShift[k] | leadFill[k]
+}
+
+// leadShift[k] moves a word's first k bytes to its top, and leadFill[k]
+// puts '0's in the 8-k bytes below them.
+var leadShift, leadFill [9]uint64
+
+func init() {
+	for k := range leadShift {
+		leadShift[k] = 1 << (64 - 8*k) // 0 for k == 0
+		leadFill[k] = 0x3030303030303030 >> (8 * k)
+	}
+}
+
+// digitRun folds the run of decimal digits at b[i:] into man (wrapping
+// past 19 digits, which the caller counts) and returns the offset past
+// it. Where eight bytes are left it takes them as one little-endian
+// word: a word of eight digits is folded whole, and one that stops at
+// its k-th byte folds those k digits and ends the run. Only the last
+// seven bytes of b are read one at a time.
+func digitRun(b []byte, i int, man uint64) (uint64, int) {
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		other := nonDigits(w)
+		if other == 0 {
+			man = man*1e8 + eightDigits(w)
+			continue
+		}
+		k := bits.TrailingZeros64(other) >> 3
+		return man*smallPow10[k] + eightDigits(leadDigits(w, k)), i + k
+	}
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return man, i
+}
+
+// eightDigits is the value of the eight ASCII digits w holds, the first
+// in its low byte: pairs, then quads, then the whole (Lemire, "Number
+// Parsing at a Gigabyte per Second", 2021).
+func eightDigits(w uint64) uint64 {
+	w -= 0x3030303030303030
+	w = w*10 + w>>8 // each even byte: its pair as a number
+	return ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+}
+
+var smallPow10 = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// exactPow10 are the powers of ten a float64 holds exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat is Clinger's fast path: when man is below 2^53, so that
+// float64(man) is exact, and 10^|exp10| is a float64 too (or man ×
+// 10^exp10 still fits in 15 digits after moving a few zeros into it),
+// one IEEE multiply or divide of two exact operands rounds correctly,
+// which is strconv's answer. These are strconv's atof64exact bounds but
+// one: it stops man at 2^52, a bit short of what is exact, and the bit
+// between takes a quarter of the generator's tokens off Eisel–Lemire.
+func exactFloat(man uint64, exp10 int) (f float64, ok bool) {
+	if man>>53 != 0 {
+		return 0, false
+	}
+	f = float64(man)
+	switch {
+	case exp10 == 0:
+		return f, true
+	case exp10 > 0 && exp10 <= 15+22:
+		if exp10 > 22 {
+			f *= exactPow10[exp10-22]
+			exp10 = 22
+		}
+		if f > 1e15 {
+			return 0, false
+		}
+		return f * exactPow10[exp10], true
+	case exp10 < 0 && exp10 >= -22:
+		return f / exactPow10[-exp10], true
+	}
+	return 0, false
 }
 
 // pow10[e-pow10Min] is 10^e as a 128-bit mantissa with its top bit

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"steppingnet/internal/cluster"
@@ -108,8 +107,6 @@ type Injector struct {
 
 	mu     sync.Mutex
 	faults []Fault
-
-	injected atomic.Int64
 }
 
 // Wrap builds an Injector over b with an initial schedule (possibly
@@ -127,19 +124,6 @@ func (in *Injector) Inject(f Fault) {
 	in.faults = append(in.faults, f)
 	in.mu.Unlock()
 }
-
-// Clear drops every armed fault, healing the replica (except that a
-// past Crash stays cleared too — Clear models operator intervention,
-// it is the one way to resurrect).
-func (in *Injector) Clear() {
-	in.mu.Lock()
-	in.faults = nil
-	in.mu.Unlock()
-}
-
-// Injected counts the calls this injector has failed or delayed —
-// how tests assert a schedule actually fired.
-func (in *Injector) Injected() int64 { return in.injected.Load() }
 
 // active returns the fault governing this instant, preferring the
 // harshest (Crash > Partition > Hang > ErrorBurst > Slow) when
@@ -177,7 +161,6 @@ func severity(k Kind) int {
 
 // fail manufactures the typed error for an injected fault.
 func (in *Injector) fail(f Fault, op string) error {
-	in.injected.Add(1)
 	return fmt.Errorf("%w: %w: %s during %s on %s",
 		cluster.ErrTransport, ErrInjected, f.Kind, op, in.b.Target())
 }
@@ -185,7 +168,6 @@ func (in *Injector) fail(f Fault, op string) error {
 // hang blocks until the context gives up, then reports the usual
 // transport-shaped failure.
 func (in *Injector) hang(ctx context.Context, f Fault, op string) error {
-	in.injected.Add(1)
 	<-ctx.Done()
 	return fmt.Errorf("%w: %w: %s during %s on %s: %v",
 		cluster.ErrTransport, ErrInjected, f.Kind, op, in.b.Target(), ctx.Err())
@@ -194,7 +176,6 @@ func (in *Injector) hang(ctx context.Context, f Fault, op string) error {
 // slow sleeps the fault's delay (bounded by ctx); it reports whether
 // the context survived.
 func (in *Injector) slow(ctx context.Context, f Fault) error {
-	in.injected.Add(1)
 	t := time.NewTimer(f.Delay)
 	defer t.Stop()
 	select {

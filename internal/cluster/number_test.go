@@ -83,7 +83,9 @@ func refScanNumber(b []byte, i int) int {
 func readNumber(b []byte, i int) (f float64, end int, exact bool) {
 	man, exp10, neg, end, exact := scanDecimal(b, i)
 	if exact {
-		f, exact = eiselLemire(man, exp10)
+		if f, exact = exactFloat(man, exp10); !exact {
+			f, exact = eiselLemire(man, exp10)
+		}
 	}
 	if neg {
 		f = -f
@@ -91,13 +93,20 @@ func readNumber(b []byte, i int) (f float64, end int, exact bool) {
 	return f, end, exact
 }
 
+// shortRoom follows a token in the copy checkNumber hands shortFloat,
+// which turns away any token that starts within 27 bytes of the end.
+// roomy holds that copy; no caller of checkNumber runs in parallel.
+var shortRoom, roomy = bytes.Repeat([]byte{' '}, 27), []byte(nil)
+
 // checkNumber holds the reader to strconv on whatever number b starts
 // with: the token ends where the old scanner ended it, an answer the
 // reader gives itself is ParseFloat's bit for bit, and parseFloat —
 // reader plus fallback — agrees with ParseFloat on value and on error
-// either way. It returns whether there was a token and whether the
-// reader decided it.
-func checkNumber(t testing.TB, b []byte) (isNumber, exact bool) {
+// either way. shortFloat, on b with room after it, may turn the token
+// away, and must otherwise agree on the end and the bits too. It
+// returns whether there was a token, whether the reader decided it, and
+// whether shortFloat took it.
+func checkNumber(t testing.TB, b []byte) (isNumber, exact, short bool) {
 	t.Helper()
 	want := refScanNumber(b, 0)
 	f, end, exact := readNumber(b, 0)
@@ -105,11 +114,13 @@ func checkNumber(t testing.TB, b []byte) (isNumber, exact bool) {
 	if end != want || end2 != want {
 		t.Fatalf("%q: token ends at %d (readNumber) / %d (parseFloat), the grammar says %d", b, end, end2, want)
 	}
+	roomy = append(append(roomy[:0], b...), shortRoom...)
+	fs, end3, short := shortFloat(roomy, 0)
 	if want < 0 {
-		if exact || scanNumber(b, 0) != -1 {
-			t.Fatalf("%q is not a number, yet exact=%v scanNumber=%d", b, exact, scanNumber(b, 0))
+		if exact || short || scanNumber(b, 0) != -1 {
+			t.Fatalf("%q is not a number, yet exact=%v short=%v scanNumber=%d", b, exact, short, scanNumber(b, 0))
 		}
-		return false, false
+		return false, false, false
 	}
 	ref, refErr := strconv.ParseFloat(string(b[:want]), 64)
 	if exact && (refErr != nil || math.Float64bits(f) != math.Float64bits(ref)) {
@@ -118,7 +129,10 @@ func checkNumber(t testing.TB, b []byte) (isNumber, exact bool) {
 	if (err == nil) != (refErr == nil) || math.Float64bits(got) != math.Float64bits(ref) {
 		t.Fatalf("%q: parseFloat %v (%#x, err %v), strconv %v (%#x, err %v)", b[:want], got, math.Float64bits(got), err, ref, math.Float64bits(ref), refErr)
 	}
-	return true, exact
+	if short && (end3 != want || refErr != nil || math.Float64bits(fs) != math.Float64bits(ref)) {
+		t.Fatalf("%q: shortFloat %v (%#x) ending at %d, strconv %v (%#x, err %v) ending at %d", b[:want], fs, math.Float64bits(fs), end3, ref, math.Float64bits(ref), refErr, want)
+	}
+	return true, exact, short
 }
 
 // TestInputNumbersMatchStrconv is the differential test on the traffic
@@ -133,12 +147,12 @@ func TestInputNumbersMatchStrconv(t *testing.T) {
 		scale = 20
 	}
 	for _, s := range hardNumbers {
-		if ok, _ := checkNumber(t, []byte(s)); !ok {
+		if ok, _, _ := checkNumber(t, []byte(s)); !ok {
 			t.Fatalf("%q is not a JSON number", s)
 		}
 		checkNumber(t, []byte("-"+s))
 	}
-	if _, exact := checkNumber(t, []byte(`9007199254740993`)); exact {
+	if _, exact, _ := checkNumber(t, []byte(`9007199254740993`)); exact {
 		t.Fatal("2^53+1 is exactly half-way: the reader must not decide it")
 	}
 
@@ -215,23 +229,29 @@ func TestInputNumbersMatchStrconv(t *testing.T) {
 	}
 	total := 0
 	for _, c := range classes {
-		n, fell := c.count/scale, 0
+		n, fell, long := c.count/scale, 0, 0
 		for k := 0; k < n; k++ {
 			buf = buf[:0]
 			c.next()
-			ok, exact := checkNumber(t, buf)
+			ok, exact, short := checkNumber(t, buf)
 			if !ok {
 				t.Fatalf("%s: %q is not a JSON number", c.name, buf)
 			}
 			if !exact {
 				fell++
 			}
+			if !short {
+				long++
+			}
 		}
 		total += n
-		share := float64(fell) / float64(n)
-		t.Logf("%-17s %8d tokens, %6d to strconv (%.4f%%)", c.name, n, fell, 100*share)
+		share, missed := float64(fell)/float64(n), float64(long)/float64(n)
+		t.Logf("%-17s %8d tokens, %6d to strconv (%.4f%%), %7d past shortFloat (%.2f%%)", c.name, n, fell, 100*share, long, 100*missed)
 		if share > c.limit {
 			t.Errorf("%s: %.3f%% of tokens fell back to strconv, limit %.1f%%", c.name, 100*share, 100*c.limit)
+		}
+		if c.limit < 1 && missed > c.limit { // the generator's form is shortFloat's to take
+			t.Errorf("%s: %.3f%% of tokens missed shortFloat, limit %.1f%%", c.name, 100*missed, 100*c.limit)
 		}
 	}
 	if scale == 1 && total < 10_000_000 {
@@ -239,25 +259,32 @@ func TestInputNumbersMatchStrconv(t *testing.T) {
 	}
 }
 
-// TestBenchmarkBodiesTakeTheFastPath measures the fallback share on
-// whole request bodies of the shape the benchmark sends, per body, and
-// holds the one-in-a-thousand line on them too.
+// TestBenchmarkBodiesTakeTheFastPath measures, on whole request bodies
+// of the shape the benchmark sends, how many tokens miss each fast path
+// — shortFloat, which the array reader tries first, and the reader's
+// own rounding behind it — and holds the one-in-a-thousand line on
+// both.
 func TestBenchmarkBodiesTakeTheFastPath(t *testing.T) {
 	body, _ := benchBody(768 * 64)
-	i, n, fell := bytes.IndexByte(body, '[')+1, 0, 0
+	i, n, fell, long := bytes.IndexByte(body, '[')+1, 0, 0, 0
 	for body[i-1] != ']' {
 		_, end, exact := readNumber(body, i)
 		if end < 0 {
 			t.Fatalf("not a number at offset %d", i)
+		}
+		if _, end2, short := shortFloat(body, i); !short {
+			long++
+		} else if end2 != end {
+			t.Fatalf("shortFloat ends the token at offset %d at %d, the reader at %d", i, end2, end)
 		}
 		if n++; !exact {
 			fell++
 		}
 		i = end + 1
 	}
-	t.Logf("%d of %d generator-form tokens went to strconv", fell, n)
-	if n != 768*64 || fell*1000 > n {
-		t.Fatalf("%d tokens read, %d fell back: want %d and at most one in a thousand", n, fell, 768*64)
+	t.Logf("of %d generator-form tokens, %d missed shortFloat and %d went to strconv", n, long, fell)
+	if n != 768*64 || fell*1000 > n || long*1000 > n {
+		t.Fatalf("%d tokens read, %d missed shortFloat, %d fell back: want %d and at most one in a thousand each", n, long, fell, 768*64)
 	}
 }
 
@@ -335,7 +362,7 @@ func FuzzInputNumber(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ok, exact := checkNumber(t, b)
+		ok, exact, _ := checkNumber(t, b)
 		if !ok {
 			return
 		}

@@ -178,16 +178,6 @@ func (l *labeler) label(row []float64) (class int, margin float64) {
 	return bi, best - second
 }
 
-// MustGenerate is Generate for known-good configurations (tests,
-// examples); it panics on error.
-func MustGenerate(cfg Config) (train, test *Dataset) {
-	train, test, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return train, test
-}
-
 // labelTeacher builds the frozen CNN that defines the ground-truth
 // concept.
 func labelTeacher(cfg Config, rng *tensor.RNG) *nn.Network {

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"steppingnet/internal/subnet"
-	"steppingnet/internal/tensor"
-)
+import "steppingnet/internal/tensor"
 
 // Context carries per-pass state through Forward/Backward. A fresh
 // Context per training step keeps layers stateless across subnets.
@@ -43,13 +40,5 @@ type Context struct {
 	Scratch *tensor.Pool
 }
 
-// FullContext returns an inference context that activates every unit:
-// subnet N of an assignment-bearing network, or simply a very large
-// subnet index for plain evaluation of the original network.
-func FullContext() *Context { return &Context{Subnet: subnet.MaxSubnets} }
-
 // Eval returns an inference context for subnet s.
 func Eval(s int) *Context { return &Context{Subnet: s} }
-
-// TrainCtx returns a training context for subnet s.
-func TrainCtx(s int) *Context { return &Context{Subnet: s, Train: true} }

@@ -27,10 +27,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
 }
 
-// Zeros is an alias for New, reading better at call sites that
-// emphasize the initial contents.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
