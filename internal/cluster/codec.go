@@ -235,18 +235,16 @@ func (s *floatSlots) decode(b []byte, i int) (vals []float64, pure bool, end int
 			copy(grown, s.buf[:s.live])
 			s.buf = grown
 		}
-		if i < len(b) && b[i] == 'n' && bytes.HasPrefix(b[i:], nullLit) {
+		if f, stop, ok := shortFloat(b, i); ok {
+			s.buf[n], i = f, stop
+		} else if i < len(b) && b[i] == 'n' && bytes.HasPrefix(b[i:], nullLit) {
 			if n >= s.live {
 				s.buf[n] = 0
 			}
 			pure = false
 			i += len(nullLit)
 		} else {
-			f, stop, ok := shortFloat(b, i)
-			if !ok {
-				f, stop, err = parseFloat(b, i)
-			}
-			if s.buf[n] = f; stop < 0 {
+			if s.buf[n], stop, err = parseFloat(b, i); stop < 0 {
 				return nil, false, i, codecErr(b, i, "want a number in the array")
 			} else if err != nil {
 				return nil, false, i, codecErr(b, i, "number out of float64 range")
@@ -462,7 +460,7 @@ func shortFloat(b []byte, i int) (f float64, end int, ok bool) {
 	man := (d0*1e8+eightDigits(w1))*smallPow10[k2] + eightDigits(leadDigits(w2, k2))
 	man = man*smallPow10[k3] + eightDigits(leadDigits(w3, k3))
 	if man>>53 == 0 {
-		f = float64(man) / exactPow10[nf] // exactFloat's case, inline
+		f = float64(int64(man)) / exactPow10[nf] // exactFloat's case, inline
 	} else if f, ok = eiselLemire(man, -nf); !ok {
 		return 0, -1, false
 	}
