@@ -56,8 +56,8 @@ var relations = []struct {
 	{name: "anytime_walk_lenet3c1l", ref: "anytime_walk_lenet3c1l_b1", factor: 8 * 0.75, minCPU: 2, why: "a batch of 8 on two cores or more against eight lone images"},
 	{name: "anytime_walk_lenet3c1l", ref: "anytime_walk_lenet3c1l_b1", factor: 8 * 1.05, maxCPU: 1, why: "a batch of 8 on one core against eight lone images"},
 	// The codec reads each float once, in its own pass, eight digits to
-	// a word: about a third of what strconv alone takes for the same
-	// tokens (the byte-at-a-time reader before it measured 0.46–0.48).
+	// a word: a quarter to a third of what strconv alone takes for the
+	// same tokens (the byte-at-a-time reader before it read 0.42–0.48).
 	{name: "wire_decode_768", ref: "wire_parsefloat_768", factor: 0.35, why: "the whole request decode against strconv.ParseFloat on its 768 tokens"},
 	// The key is a word-at-a-time fold (measured 0.023; the bytewise
 	// hash it replaced read 0.15).
