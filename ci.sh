@@ -22,15 +22,18 @@
 # threshold — ±50% for the entries that cross the loopback — (ns/op is
 # not gated when the committed baseline came from a different GEMM
 # backend than this machine selects), and on the relations within the
-# new file (walk ≤ 1.10 × forward at batch 1, on the LeNet and on
-# VGG-16; a one-row rung panel ≤ 0.6 × a four-row one; batch-8 walk ≤ 8 × 0.75 ×
-# batch-1 walk on two cores or more, 8 × 1.05 × on one; request
-# decode ≤ 0.6 × and cache key ≤ 0.05 × strconv.ParseFloat on the
-# same 768 tokens; a recognised input text ≤
-# 0.15 × the decode; a cached hit over loopback ≤ the same POST to a
-# handler that discards it + 0.6 × the decode; the same hit through a
-# router ≤ 2.5 × it, and ≤ its bytes/op + 8 KiB), and on allocs/op
-# growth on http_b1_cached. The committed
+# new file (the `relations` table in cmd/stepbench/compare.go: walk ≤
+# 1.10 × forward at batch 1, on the LeNet and on VGG-16; a one-row rung
+# panel ≤ 0.6 × a four-row one; batch-8 walk ≤ 8 × 0.75 × batch-1 walk
+# on two cores or more, 8 × 1.05 × on one; a served answer resumed from
+# a cached rung ≤ 0.15 × and a served deadline answer ≤ the batch-1
+# walk + 15 µs; request decode ≤ 0.35 ×, cache key ≤ 0.05 × and a
+# recognised input text ≤ 0.07 × strconv.ParseFloat on the same 768
+# tokens; a cached hit over loopback ≤ the same POST to a handler that
+# discards it + 0.28 × strconv; the same hit through a router ≤ 2.5 ×
+# it, and ≤ its bytes/op + 8 KiB), and on allocs/op growth on
+# http_b1_cached. The committed baseline passes the same relations
+# (TestCommittedBaselineHoldsItsRelations). The committed
 # baseline is only replaced under --update-baseline — and never
 # cross-backend — so sub-threshold regressions cannot ratchet
 # silently and a scalar box cannot clobber the avx2 reference; when a
@@ -136,9 +139,9 @@ echo "== chaos (default backend) =="
 # The serving layer's randomized lifecycle storm always runs under the
 # race detector (even with --quick) and under both GEMM backends:
 # close/submit races are exactly where the backends' differing step
-# timings shake out different interleavings. The cache-staleness storm
-# rides along: concurrent TTL expiry and calibration-swap invalidation
-# against a live submit stream.
+# timings shake out different interleavings. The cache storm rides
+# along: LRU eviction, resumes and widens against a live submit stream,
+# every answer checked bitwise against the cold walk.
 go test -race -count=1 -run 'TestChaosRandomizedLifecycles|TestChaosCacheStaleness' ./internal/serve
 echo "== chaos (scalar backend) =="
 STEPPINGNET_NOSIMD=1 go test -race -count=1 -run 'TestChaosRandomizedLifecycles|TestChaosCacheStaleness' ./internal/serve
@@ -186,8 +189,8 @@ go test -race -count=10 -run "$SHARD_HANDOFF_TESTS" ./internal/infer
 STEPPINGNET_NOSIMD=1 go test -race -count=10 -run "$SHARD_HANDOFF_TESTS" ./internal/infer
 
 echo "== router e2e smoke =="
-# Stand up three real replica processes (each with a TTL'd semantic
-# cache) and an affinity-routing router over them, then drive two
+# Stand up three real replica processes (each with a semantic cache)
+# and an affinity-routing router over them, then drive two
 # loadgen phases: a mixed multi-target spray (router plus one replica
 # directly, with a couple of slow-loris connections against the
 # router) and a repeat-heavy phase whose hot keys must concentrate on
@@ -201,7 +204,7 @@ echo "== router e2e smoke =="
     E2E_TMP=$(mktemp -d)
     trap 'kill $(jobs -p) 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$E2E_TMP"' EXIT
     go build -o "$E2E_TMP/stepserve" ./cmd/stepserve
-    REPLICA_FLAGS='-workers 1 -queue 16 -batch 4 -refresh 0 -cache 64 -cache-ttl 1m'
+    REPLICA_FLAGS='-workers 1 -queue 16 -batch 4 -refresh 0 -cache 64'
     "$E2E_TMP/stepserve" -addr 127.0.0.1:18081 $REPLICA_FLAGS &
     "$E2E_TMP/stepserve" -addr 127.0.0.1:18082 $REPLICA_FLAGS &
     "$E2E_TMP/stepserve" -addr 127.0.0.1:18083 $REPLICA_FLAGS &

@@ -32,6 +32,8 @@ func healthyResults() map[string]benchResult {
 		"http_b1_cached":            {NsPerOp: 45_000, AllocsPerOp: 92, BytesPerOp: 20_000},
 		"route_b1_cached":           {NsPerOp: 90_000, AllocsPerOp: 143, BytesPerOp: 24_000},
 		"matmul64":                  {NsPerOp: 24_000, AllocsPerOp: 3, BytesPerOp: 32_832},
+		"serve_b1_cached_resume":    {NsPerOp: 5000, AllocsPerOp: 1, BytesPerOp: 80},
+		"serve_b1_deadline":         {NsPerOp: 105_000, AllocsPerOp: 6, BytesPerOp: 517},
 	}
 	return r
 }
@@ -75,6 +77,13 @@ func TestCompareRules(t *testing.T) {
 		{name: "ratio broken", edits: []edit{nsOf("rung_gemm_1x27x256", 601)}, fail: []string{"rung_gemm_1x27x256 (601 ns/op) exceeds 0.60 × rung_gemm_4x27x256"}},
 		{name: "walk against forward", edits: []edit{nsOf("anytime_walk_lenet3c1l_b1", 220_001), nsOf("anytime_walk_lenet3c1l", 800_000)}, fail: []string{"anytime_walk_lenet3c1l_b1 (220001 ns/op) exceeds 1.10 × forward_lenet3c1l_b1"}},
 		{name: "walk against forward, VGG", edits: []edit{nsOf("anytime_walk_vgg16_b1", 3_300_001)}, fail: []string{"anytime_walk_vgg16_b1 (3300001 ns/op) exceeds 1.10 × forward_vgg16_b1"}},
+
+		// The served paths against the walk: a resume from a cached rung
+		// at 0.15 of it, a deadline answer at the walk plus 15 µs.
+		{name: "resume met", edits: []edit{nsOf("serve_b1_cached_resume", 15_000)}},
+		{name: "resume broken", edits: []edit{nsOf("serve_b1_cached_resume", 15_001)}, fail: []string{"serve_b1_cached_resume (15001 ns/op) exceeds 0.15 × anytime_walk_lenet3c1l_b1 (100000 ns/op)"}},
+		{name: "slack ns met", edits: []edit{nsOf("serve_b1_deadline", 115_000)}},
+		{name: "slack ns broken", edits: []edit{nsOf("serve_b1_deadline", 115_001)}, fail: []string{"serve_b1_deadline (115001 ns/op) exceeds 1.00 × anytime_walk_lenet3c1l_b1 (100000 ns/op) + 15000 ns"}},
 
 		// The codec, priced in strconv's time.
 		{name: "decode met", edits: []edit{nsOf("wire_decode_768", 17_500)}},

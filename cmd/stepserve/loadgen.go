@@ -600,12 +600,10 @@ func printRemoteView(target string) {
 				line += fmt.Sprintf(" affinity=%-5d spills=%d", rs.AffinityHits, rs.AffinitySpills)
 			}
 			// Each replica's own /stats reveals where cache reuse
-			// actually landed — the concentration affinity buys — and
-			// how many entries the TTL aged out.
+			// actually landed — the concentration affinity buys.
 			if snap, ok := replicaCacheSnap(rs.Target); ok {
-				line += fmt.Sprintf(" cache-hits=%-5d expired=%d",
-					snap.CacheHits+snap.CacheResumes, snap.CacheExpired)
 				hits := snap.CacheHits + snap.CacheResumes
+				line += fmt.Sprintf(" cache-hits=%d", hits)
 				hitTotal += hits
 				if hits > hitTop {
 					hitTop = hits
@@ -677,10 +675,9 @@ func printClassProtection(snap serve.Snapshot) {
 		if snap.Served > 0 {
 			reuse = float64(snap.CacheHits+snap.CacheResumes) / float64(snap.Served)
 		}
-		fmt.Printf("semantic cache: %d hits, %d resumes (%.1f%% of answers), %d early exits; %d entries / %d KiB live, %d evictions (%d expired, %d invalidated), gen %d\n",
+		fmt.Printf("semantic cache: %d hits, %d resumes (%.1f%% of answers), %d early exits; %d entries / %d KiB live, %d evictions\n",
 			snap.CacheHits, snap.CacheResumes, 100*reuse, snap.EarlyExits,
-			snap.CacheEntries, snap.CacheBytes>>10, snap.CacheEvictions,
-			snap.CacheExpired, snap.CacheInvalidated, snap.CacheGeneration)
+			snap.CacheEntries, snap.CacheBytes>>10, snap.CacheEvictions)
 	} else if snap.EarlyExits > 0 {
 		fmt.Printf("early exit: %d answers stopped below their affordable rung\n", snap.EarlyExits)
 	}

@@ -149,7 +149,6 @@ func main() {
 	flag.DurationVar(&sf.control, "control", 0, "overload governor tick interval (0 = 100ms when -slo is set)")
 	flag.IntVar(&sf.cacheEntries, "cache", 0, "semantic result cache capacity in entries (0 disables; repeated inputs are answered from — or resumed off — cached ladder state)")
 	flag.Int64Var(&sf.cacheBytes, "cache-bytes", 0, "semantic cache memory bound in bytes (0 = 64MiB default when -cache is set)")
-	flag.DurationVar(&sf.cacheTTL, "cache-ttl", 0, "semantic cache entry time-to-live (0 = no age bound; entries still invalidate on calibration refresh)")
 	exitMarginSpec := flag.String("exit-margin", "", "confidence early-exit top-2 logit margin: a single threshold, or a comma-separated per-class vector indexed by predicted class (empty disables the exit)")
 	flag.IntVar(&sf.exitCalibrate, "exit-calibrate", 0, "derive argmax-safe per-class early-exit margins from this many seeded calibration inputs (overrides -exit-margin)")
 	hdrTimeout := flag.Duration("hdr-timeout", 5*time.Second, "how long a connection may take to send its request headers before it is closed (slow-loris defense)")
@@ -239,7 +238,6 @@ type servingFlags struct {
 	control               time.Duration
 	cacheEntries          int
 	cacheBytes            int64
-	cacheTTL              time.Duration
 	exitMargin            float64
 	exitMargins           []float64
 	exitCalibrate         int
@@ -262,7 +260,7 @@ func buildServing(f servingFlags) (*serve.Server, *models.Model, error) {
 		RefreshInterval: f.refresh,
 		SLOs:            f.slos,
 		ControlInterval: f.control,
-		CacheEntries:    f.cacheEntries, CacheBytes: f.cacheBytes, CacheTTL: f.cacheTTL,
+		CacheEntries:    f.cacheEntries, CacheBytes: f.cacheBytes,
 		ExitMargin: f.exitMargin, ExitMargins: f.exitMargins,
 	}
 	margins, err := calibratedExitMargins(m, f.subnets, f.exitCalibrate, f.seed)
@@ -327,11 +325,7 @@ func calibratedExitMargins(m *models.Model, subnets, nCal int, seed uint64) ([]f
 // see at startup what the serving path will short-circuit.
 func logCacheExit(cfg serve.Config) {
 	if cfg.CacheEntries > 0 {
-		line := fmt.Sprintf("semantic cache: %d entries", cfg.CacheEntries)
-		if cfg.CacheTTL > 0 {
-			line += fmt.Sprintf(", TTL %v", cfg.CacheTTL)
-		}
-		log.Print(line)
+		log.Printf("semantic cache: %d entries", cfg.CacheEntries)
 	}
 	switch {
 	case len(cfg.ExitMargins) > 0:

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,13 +15,11 @@ import (
 	"steppingnet/internal/serve/cache"
 )
 
-// knownReplica is a replica-mode handler over a cache-armed server
-// whose cache clock the test owns.
+// knownReplica is a replica-mode handler over a cache-armed server.
 type knownReplica struct {
 	srv    *serve.Server
 	ts     *httptest.Server
 	imgLen int
-	nowNs  atomic.Int64
 }
 
 func newKnownReplica(t *testing.T, seed uint64, cacheEntries int) *knownReplica {
@@ -31,7 +28,6 @@ func newKnownReplica(t *testing.T, seed uint64, cacheEntries int) *knownReplica 
 	r := &knownReplica{imgLen: m.InC * m.InH * m.InW}
 	srv, err := serve.New(serve.Config{
 		Model: m, Subnets: 3, Workers: 1, CacheEntries: cacheEntries,
-		CacheTTL: time.Minute, CacheNow: func() time.Time { return time.Unix(0, r.nowNs.Load()) },
 		Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
 	})
 	if err != nil {
@@ -82,12 +78,12 @@ func arrayText(in []float64, format byte, prec int, sep string) string {
 // walked; the same bytes again — whatever stands around the array — are
 // a zero-MAC hit whose numbers were never read (the server's
 // InputsKnown counts it, InlineHits says where it was answered); the
-// same floats spelled differently are parsed, and are a hit all the same. When the cache
-// has forgotten the entry — its TTL ran out, or other inputs pushed it
-// out — the known text is parsed after all, re-walked, and answered
-// bitwise as the first time.
+// same floats spelled differently are parsed, and are a hit all the
+// same. When the cache has forgotten the entry — a second input pushed
+// it out of the one-entry cache — the known text is parsed after all,
+// re-walked, and answered bitwise as the first time.
 func TestKnownTextIsAnsweredUnparsed(t *testing.T) {
-	r := newKnownReplica(t, 911, 2)
+	r := newKnownReplica(t, 911, 1)
 	in := inputVec(912, r.imgLen)
 	text := arrayText(in, 'g', -1, ",")
 	post := func(envelope, text string) cluster.InferResponse {
@@ -118,16 +114,11 @@ func TestKnownTextIsAnsweredUnparsed(t *testing.T) {
 	expect("respelled, spaced", post(plain, respelled), true, 2, 3, first.Logits)
 	expect("respelled again: now a known text too", post(plain, respelled), true, 3, 4, first.Logits)
 
-	r.nowNs.Add(int64(2 * time.Minute))
-	expect("TTL ran out", post(plain, text), false, 3, 4, first.Logits)
+	other := inputVec(920, r.imgLen)
+	r.post(t, r.ts.URL, plain, other, arrayText(other, 'g', -1, ","))
+	expect("evicted", post(plain, text), false, 3, 4, first.Logits)
 	expect("walked again, cached again", post(plain, text), true, 4, 5, first.Logits)
-	for i := 0; i < 2; i++ {
-		other := inputVec(uint64(920+i), r.imgLen)
-		r.post(t, r.ts.URL, plain, other, arrayText(other, 'g', -1, ","))
-	}
-	expect("evicted", post(plain, text), false, 4, 5, first.Logits)
-	expect("walked again, cached again", post(plain, text), true, 5, 6, first.Logits)
-	if snap := r.srv.Stats(); snap.Submitted != snap.Served+snap.Rejected || snap.CacheExpired != 1 {
+	if snap := r.srv.Stats(); snap.Submitted != snap.Served+snap.Rejected || snap.CacheEvictions != 2 {
 		t.Fatalf("at the end: %+v", snap)
 	}
 }

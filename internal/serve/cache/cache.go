@@ -18,21 +18,16 @@
 // simultaneous bounds (entry count and total bytes), so cached engine
 // states — the heavy part — cannot grow without limit.
 //
-// Entries additionally carry lifecycle stamps: a monotonic GENERATION
-// (bumped by the owner whenever the model or calibration is swapped
-// underneath the cache — see BumpGeneration) and an insertion time
-// checked against an optional TTL. A lookup that finds an entry from
-// an older generation or past its TTL treats it as a miss-and-evict:
-// the stale entry is removed (counted as an eviction, with Expired or
-// Invalidated recording the cause) and the caller sees a plain miss,
-// so stale state can never seed a resume.
+// Nothing else removes an entry. An entry is a pure function of the
+// input's bits and the weights, and a running process never changes
+// its weights, so an entry cannot go stale: it leaves only when the
+// LRU bounds push it out.
 package cache
 
 import (
 	"math"
 	"math/bits"
 	"sync"
-	"time"
 
 	"steppingnet/internal/infer"
 )
@@ -127,56 +122,29 @@ type Config struct {
 	// rejected by Put (storing it would immediately evict everything
 	// including itself).
 	MaxBytes int64
-	// TTL bounds an entry's lifetime from its insertion (a widen
-	// restamps): a lookup past the TTL evicts the entry and reports a
-	// miss, counted under Counters.Expired. ≤ 0 disables expiry.
-	TTL time.Duration
-	// Now overrides the clock used for TTL stamps and checks — the
-	// injection point that makes expiry deterministic in tests. Nil
-	// means time.Now. Only consulted when TTL > 0, so a TTL-free
-	// cache takes no timestamps at all.
-	Now func() time.Time
 }
 
 // Counters is a snapshot of the cache's monotonic event counters.
 type Counters struct {
-	// Hits counts lookups that found a live entry.
-	Hits int64
-	// Misses counts lookups that found nothing live (including
-	// lookups that found only a stale entry and evicted it).
-	Misses int64
 	// Inserts counts Puts that stored a new key.
 	Inserts int64
-	// Widens counts Puts that replaced a live entry with a wider rung.
+	// Widens counts Puts that replaced an entry with a wider rung.
 	Widens int64
-	// Evictions counts live entries removed for any reason: the LRU
-	// bounds, TTL expiry, or a generation bump observed at lookup. An
-	// oversized Put rejected outright is not an eviction (nothing
-	// live was removed), so Len() == Inserts − Evictions always holds
-	// — an invariant the fuzz target leans on.
+	// Evictions counts entries the LRU bounds removed. An oversized
+	// Put rejected outright is not an eviction (nothing stored was
+	// removed), so Len == Inserts − Evictions always holds — an
+	// invariant the fuzz target leans on.
 	Evictions int64
-	// Expired attributes evictions caused by the TTL: the entry was
-	// found past its lifetime and removed. Each expiry also counts in
-	// Evictions (attribution, not a separate pool).
-	Expired int64
-	// Invalidated attributes evictions caused by a generation bump:
-	// the entry was stamped under an older generation and removed at
-	// lookup. Each invalidation also counts in Evictions.
-	Invalidated int64
 }
 
 // Stats is a coherent snapshot of the cache's gauges and counters,
-// taken under one lock acquisition — Len, Bytes and the counters are
-// mutually consistent (e.g. Len == Counters.Inserts −
-// Counters.Evictions holds exactly), which three separate accessor
-// calls cannot guarantee under concurrent churn.
+// taken under one lock acquisition, so Len == Counters.Inserts −
+// Counters.Evictions holds exactly even under concurrent churn.
 type Stats struct {
-	// Len is the number of live entries.
+	// Len is the number of entries.
 	Len int
-	// Bytes is the summed accounted footprint of live entries.
+	// Bytes is the summed accounted footprint of the entries.
 	Bytes int64
-	// Generation is the cache's current generation stamp.
-	Generation uint64
 	// Counters is the monotonic event-counter snapshot.
 	Counters Counters
 }
@@ -185,12 +153,8 @@ type Stats struct {
 // for concurrent use; the zero value is not usable — construct with
 // New.
 type Cache struct {
-	mu  sync.Mutex
-	cfg Config
-	now func() time.Time
-	// gen is the current generation; entries stamped under an older
-	// one are evicted at lookup (BumpGeneration).
-	gen   uint64
+	mu    sync.Mutex
+	cfg   Config
 	items map[Key]*node
 	// Intrusive LRU list: head.next is most recently used, head.prev
 	// least. A sentinel head keeps link/unlink branch-free.
@@ -205,133 +169,54 @@ type node struct {
 	key        Key
 	entry      *Entry
 	size       int64
-	gen        uint64
-	stamp      time.Time
 	prev, next *node
 }
 
 // New builds an empty cache bounded by cfg.
 func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, items: make(map[Key]*node)}
-	c.now = cfg.Now
-	if c.now == nil {
-		c.now = time.Now
-	}
 	c.head.prev = &c.head
 	c.head.next = &c.head
 	return c
 }
 
-// Get returns the live entry for k, marking it most recently used.
+// Lookup returns the entry for k and leaves the LRU order untouched.
 // The returned entry is shared and immutable — callers must not
-// mutate it. A stale entry (older generation or past TTL) is evicted
-// and reported as a miss. Callers that may still abandon the request
-// (admission, deadline checks) should use Lookup + Touch instead, so
-// doomed work cannot churn the LRU order.
+// mutate it. The serving layer looks entries up at admission and at
+// batch formation, and calls Touch only for requests that actually
+// reach an answer or a walk — a flood of requests that are then
+// rejected downstream must not push live keys toward eviction.
+func (c *Cache) Lookup(k Key) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.items[k]
+	if !ok {
+		return nil, false
+	}
+	return n.entry, true
+}
+
+// Get is Lookup and Touch under one lock: it returns the entry for k
+// and marks it most recently used.
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.liveLocked(k)
+	n, ok := c.items[k]
 	if !ok {
-		c.ctr.Misses++
 		return nil, false
 	}
-	c.ctr.Hits++
 	c.unlink(n)
 	c.pushFront(n)
 	return n.entry, true
 }
 
-// Lookup is Get without the recency refresh: it counts the hit or
-// miss and enforces staleness, but leaves the LRU order untouched.
-// The serving layer looks entries up at batch formation and calls
-// Touch only for requests that actually reach an answer or a walk —
-// a flood of requests that are then rejected downstream must not
-// push live keys toward eviction.
-func (c *Cache) Lookup(k Key) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.liveLocked(k)
-	if !ok {
-		c.ctr.Misses++
-		return nil, false
-	}
-	c.ctr.Hits++
-	return n.entry, true
-}
-
-// Peek returns the live entry for k without counting a hit or miss
-// and without refreshing recency. Staleness is still enforced (a
-// stale entry is evicted and not returned). It serves observers that
-// are not request traffic, such as tests waiting for a publish.
-func (c *Cache) Peek(k Key) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.liveLocked(k)
-	if !ok {
-		return nil, false
-	}
-	return n.entry, true
-}
-
-// Touch marks k most recently used if it is live, and is otherwise a
-// no-op. Pairs with Lookup: recency moves only when the looked-up
+// Touch marks k most recently used if it is cached, and is otherwise
+// a no-op. Pairs with Lookup: recency moves only when the looked-up
 // request commits to using the entry.
-func (c *Cache) Touch(k Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n, ok := c.liveLocked(k); ok {
-		c.unlink(n)
-		c.pushFront(n)
-	}
-}
-
-// liveLocked returns the node for k if it is live under the current
-// generation and TTL. A stale node is evicted here — counted as an
-// eviction with its cause attributed — and reported as absent.
-// Caller holds the lock.
-func (c *Cache) liveLocked(k Key) (*node, bool) {
-	n, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	if n.gen != c.gen {
-		c.removeLocked(n)
-		c.ctr.Invalidated++
-		return nil, false
-	}
-	if c.cfg.TTL > 0 && c.now().Sub(n.stamp) > c.cfg.TTL {
-		c.removeLocked(n)
-		c.ctr.Expired++
-		return nil, false
-	}
-	return n, true
-}
-
-// removeLocked evicts n from the map and list and counts the
-// eviction. Caller holds the lock and attributes the cause.
-func (c *Cache) removeLocked(n *node) {
-	c.unlink(n)
-	delete(c.items, n.key)
-	c.bytes -= n.size
-	c.ctr.Evictions++
-}
-
-// BumpGeneration advances the cache's generation stamp and returns
-// the new value. Every live entry becomes stale at once — each is
-// evicted lazily at its next lookup (counted under Invalidated) —
-// without walking the live set. The serving layer bumps whenever the
-// model or calibration is swapped underneath the cache, so no walk
-// resumes from state a swapped model did not produce.
-func (c *Cache) BumpGeneration() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	return c.gen
-}
+func (c *Cache) Touch(k Key) { c.Get(k) }
 
 // Put offers an entry for k and reports whether it was stored. An
-// existing live entry at an equal or wider rung wins (the offer is
+// existing entry at an equal or wider rung wins (the offer is
 // dropped — the cache keeps only the widest walk per key, and a
 // narrower result adds nothing). A wider offer replaces the entry
 // whole, its resume state included. Storing may evict
@@ -347,59 +232,26 @@ func (c *Cache) Put(k Key, e *Entry) bool {
 	if c.cfg.MaxBytes > 0 && size > c.cfg.MaxBytes {
 		return false
 	}
-	var stamp time.Time
-	if c.cfg.TTL > 0 {
-		stamp = c.now()
-	}
-	if n, ok := c.items[k]; ok && c.nodeLive(n, stamp) {
-		if n.entry.Subnet >= e.Subnet {
-			// Keep the wider (or equal) walk; refresh recency — the
-			// key is demonstrably hot.
-			c.unlink(n)
-			c.pushFront(n)
-			return false
-		}
-		c.bytes -= n.size
-		n.entry, n.size = e, size
-		n.stamp = stamp
-		c.bytes += size
+	n, ok := c.items[k]
+	if ok {
 		c.unlink(n)
 		c.pushFront(n)
-		c.ctr.Widens++
-		c.evictOver()
-		return true
-	} else if ok {
-		// The slot exists but is stale (old generation or expired):
-		// evict it with attribution and fall through to a fresh
-		// insert — comparing rungs against stale data would let a
-		// pre-bump walk outrank a post-bump one.
-		if n.gen != c.gen {
-			c.removeLocked(n)
-			c.ctr.Invalidated++
-		} else {
-			c.removeLocked(n)
-			c.ctr.Expired++
+		if n.entry.Subnet >= e.Subnet {
+			// Keep the wider (or equal) walk; the refreshed recency
+			// stays — the key is demonstrably hot.
+			return false
 		}
+		c.bytes += size - n.size
+		n.entry, n.size = e, size
+		c.ctr.Widens++
+	} else {
+		n = &node{key: k, entry: e, size: size}
+		c.items[k] = n
+		c.bytes += size
+		c.pushFront(n)
+		c.ctr.Inserts++
 	}
-	n := &node{key: k, entry: e, size: size, gen: c.gen, stamp: stamp}
-	c.items[k] = n
-	c.bytes += size
-	c.pushFront(n)
-	c.ctr.Inserts++
 	c.evictOver()
-	return true
-}
-
-// nodeLive reports whether n is live under the current generation
-// and TTL, without evicting. stamp carries the already-taken clock
-// reading when TTL is armed (zero otherwise). Caller holds the lock.
-func (c *Cache) nodeLive(n *node, stamp time.Time) bool {
-	if n.gen != c.gen {
-		return false
-	}
-	if c.cfg.TTL > 0 && stamp.Sub(n.stamp) > c.cfg.TTL {
-		return false
-	}
 	return true
 }
 
@@ -412,7 +264,10 @@ func (c *Cache) evictOver() {
 		if lru == &c.head {
 			return
 		}
-		c.removeLocked(lru)
+		c.unlink(lru)
+		delete(c.items, lru.key)
+		c.bytes -= lru.size
+		c.ctr.Evictions++
 	}
 }
 
@@ -431,34 +286,10 @@ func (c *Cache) pushFront(n *node) {
 	c.head.next = n
 }
 
-// Len reports the number of live entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
-// Bytes reports the summed accounted footprint of live entries.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Counters returns a snapshot of the event counters.
-func (c *Cache) Counters() Counters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ctr
-}
-
 // Stats returns the gauges and counters as one coherent snapshot
-// taken under a single lock acquisition. Prefer it over separate
-// Len/Bytes/Counters calls wherever the values are reported together
-// — a composite read across three acquisitions can tear against
-// concurrent Put/evict traffic.
+// taken under a single lock acquisition.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Len: len(c.items), Bytes: c.bytes, Generation: c.gen, Counters: c.ctr}
+	return Stats{Len: len(c.items), Bytes: c.bytes, Counters: c.ctr}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"testing"
-	"time"
 
 	"steppingnet/internal/infer"
 	"steppingnet/internal/tensor"
@@ -139,24 +138,24 @@ func TestWidestRungWins(t *testing.T) {
 	if !c.Put(k, entry(3, 128)) {
 		t.Fatal("wider rung should replace")
 	}
-	e, ok := c.Get(k)
+	e, ok := c.Lookup(k)
 	if !ok || e.Subnet != 3 {
-		t.Fatalf("Get returned %+v, want subnet 3", e)
+		t.Fatalf("Lookup returned %+v, want subnet 3", e)
 	}
-	ctr := c.Counters()
-	if ctr.Inserts != 1 || ctr.Widens != 1 {
-		t.Fatalf("counters %+v, want 1 insert 1 widen", ctr)
+	st := c.Stats()
+	if st.Counters.Inserts != 1 || st.Counters.Widens != 1 {
+		t.Fatalf("counters %+v, want 1 insert 1 widen", st.Counters)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len %d, want 1", c.Len())
+	if st.Len != 1 {
+		t.Fatalf("Len %d, want 1", st.Len)
 	}
-	if want := entry(3, 128).bytes(); c.Bytes() != want {
-		t.Fatalf("Bytes %d, want %d (the live entry only)", c.Bytes(), want)
+	if want := entry(3, 128).bytes(); st.Bytes != want {
+		t.Fatalf("Bytes %d, want %d (the live entry only)", st.Bytes, want)
 	}
 }
 
 // TestLRUEviction pins the eviction order (least recently USED, where
-// Get refreshes recency) and both bounds.
+// Touch refreshes recency) and both bounds.
 func TestLRUEviction(t *testing.T) {
 	c := New(Config{MaxEntries: 3, MaxBytes: 1 << 20})
 	keys := make([]Key, 4)
@@ -166,18 +165,18 @@ func TestLRUEviction(t *testing.T) {
 	c.Put(keys[0], entry(1, 16))
 	c.Put(keys[1], entry(1, 16))
 	c.Put(keys[2], entry(1, 16))
-	c.Get(keys[0]) // refresh key 0: key 1 is now LRU
+	c.Touch(keys[0]) // refresh key 0: key 1 is now LRU
 	c.Put(keys[3], entry(1, 16))
-	if _, ok := c.Get(keys[1]); ok {
+	if _, ok := c.Lookup(keys[1]); ok {
 		t.Fatal("key 1 should have been evicted (LRU)")
 	}
 	for _, k := range []Key{keys[0], keys[2], keys[3]} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Lookup(k); !ok {
 			t.Fatalf("key %#x should be live", k)
 		}
 	}
-	if c.Counters().Evictions != 1 {
-		t.Fatalf("evictions %d, want 1", c.Counters().Evictions)
+	if ev := c.Stats().Counters.Evictions; ev != 1 {
+		t.Fatalf("evictions %d, want 1", ev)
 	}
 
 	// Byte bound: one big entry evicts several small ones.
@@ -190,20 +189,20 @@ func TestLRUEviction(t *testing.T) {
 	if !cb.Put(KeyOf([]float64{99}), big) {
 		t.Fatal("big entry should store after evictions")
 	}
-	if cb.Bytes() > cb.cfg.MaxBytes {
-		t.Fatalf("byte bound violated: %d > %d", cb.Bytes(), cb.cfg.MaxBytes)
+	if b := cb.Stats().Bytes; b > cb.cfg.MaxBytes {
+		t.Fatalf("byte bound violated: %d > %d", b, cb.cfg.MaxBytes)
 	}
-	if _, ok := cb.Get(KeyOf([]float64{99})); !ok {
+	if _, ok := cb.Lookup(KeyOf([]float64{99})); !ok {
 		t.Fatal("big entry should be live")
 	}
 
 	// An entry alone exceeding MaxBytes is rejected without
 	// disturbing the live set.
-	before := cb.Len()
+	before := cb.Stats()
 	if cb.Put(KeyOf([]float64{7}), entry(1, 1<<20)) {
 		t.Fatal("oversized entry should be rejected")
 	}
-	if cb.Len() != before {
+	if cb.Stats() != before {
 		t.Fatal("oversized Put disturbed the live set")
 	}
 }
@@ -226,107 +225,26 @@ func TestWidenDropsStaleState(t *testing.T) {
 	if !c.Put(k, wide) {
 		t.Fatal("wider offer should replace")
 	}
-	e, ok := c.Get(k)
+	e, ok := c.Lookup(k)
 	if !ok || e != wide {
-		t.Fatalf("Get returned %+v, want the rung-3 offer itself", e)
+		t.Fatalf("Lookup returned %+v, want the rung-3 offer itself", e)
 	}
-	if c.Bytes() != wide.bytes() {
-		t.Fatalf("Bytes %d, want the logits-only footprint %d", c.Bytes(), wide.bytes())
+	if b := c.Stats().Bytes; b != wide.bytes() {
+		t.Fatalf("Bytes %d, want the logits-only footprint %d", b, wide.bytes())
 	}
 	// A wider offer that carries its own state installs it.
 	wider := entry(4, 32)
 	if !c.Put(k, wider) {
 		t.Fatal("wider resumable offer should replace")
 	}
-	if e, _ := c.Get(k); e.State != wider.State {
+	if e, _ := c.Lookup(k); e.State != wider.State {
 		t.Fatal("resumable widen should install the new state")
 	}
 }
 
-// TestTTLExpiryGolden pins the expiry accounting contract exactly: a
-// lookup that finds an entry past its TTL evicts it and reports a
-// miss — one miss, one eviction, one expired, nothing else — and the
-// Len == Inserts − Evictions identity holds across the transition.
-func TestTTLExpiryGolden(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	c := New(Config{MaxEntries: 8, MaxBytes: 1 << 20, TTL: 10 * time.Second, Now: clock})
-	k := KeyOf([]float64{1})
-	if !c.Put(k, entry(2, 16)) {
-		t.Fatal("Put should store")
-	}
-	now = now.Add(10 * time.Second) // exactly at TTL: still live
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("entry at exactly TTL should still be live")
-	}
-	now = now.Add(time.Nanosecond) // past TTL
-	if _, ok := c.Get(k); ok {
-		t.Fatal("entry past TTL should miss")
-	}
-	st := c.Stats()
-	if st.Counters.Misses != 1 || st.Counters.Evictions != 1 || st.Counters.Expired != 1 {
-		t.Fatalf("expiry counted misses=%d evictions=%d expired=%d, want exactly 1/1/1",
-			st.Counters.Misses, st.Counters.Evictions, st.Counters.Expired)
-	}
-	if st.Counters.Invalidated != 0 {
-		t.Fatalf("expiry misattributed as invalidation: %d", st.Counters.Invalidated)
-	}
-	if st.Len != 0 || int64(st.Len) != st.Counters.Inserts-st.Counters.Evictions {
-		t.Fatalf("identity broken after expiry: len=%d inserts=%d evictions=%d",
-			st.Len, st.Counters.Inserts, st.Counters.Evictions)
-	}
-	if st.Bytes != 0 {
-		t.Fatalf("expired entry's bytes not released: %d", st.Bytes)
-	}
-	// A fresh Put after the expiry restamps and serves again.
-	if !c.Put(k, entry(2, 16)) {
-		t.Fatal("re-Put after expiry should store")
-	}
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("restamped entry should be live")
-	}
-}
-
-// TestGenerationInvalidation pins the generation contract: after
-// BumpGeneration every pre-bump entry is evicted at its next lookup
-// (miss + eviction + invalidated), and Put across the bump compares
-// against nothing stale.
-func TestGenerationInvalidation(t *testing.T) {
-	c := New(Config{MaxEntries: 8, MaxBytes: 1 << 20})
-	k := KeyOf([]float64{3})
-	c.Put(k, entry(3, 64))
-	gen := c.Stats().Generation
-	if got := c.BumpGeneration(); got != gen+1 {
-		t.Fatalf("BumpGeneration returned %d, want %d", got, gen+1)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("pre-bump entry should miss after the bump")
-	}
-	st := c.Stats()
-	if st.Counters.Invalidated != 1 || st.Counters.Evictions != 1 || st.Counters.Misses != 1 {
-		t.Fatalf("invalidation counted invalidated=%d evictions=%d misses=%d, want 1/1/1",
-			st.Counters.Invalidated, st.Counters.Evictions, st.Counters.Misses)
-	}
-	if int64(st.Len) != st.Counters.Inserts-st.Counters.Evictions {
-		t.Fatalf("identity broken after invalidation: %+v", st)
-	}
-	// A stale slot found by Put (no intervening lookup) is evicted
-	// with attribution, and the new offer stores fresh — even at a
-	// NARROWER rung than the stale data.
-	c.Put(k, entry(3, 64))
-	c.BumpGeneration()
-	if !c.Put(k, entry(1, 16)) {
-		t.Fatal("post-bump Put at a narrower rung should store (stale slot must not outrank it)")
-	}
-	if e, ok := c.Get(k); !ok || e.Subnet != 1 {
-		t.Fatalf("post-bump entry %+v, want fresh rung-1 entry", e)
-	}
-}
-
 // TestLookupTouchRecency pins the recency split the serving layer
-// depends on: Lookup counts but does not move the LRU order (doomed
-// requests cannot churn live keys), Touch moves without counting,
-// and Get remains lookup+touch.
+// depends on: Lookup does not move the LRU order (doomed requests
+// cannot churn live keys), Touch does, and Get is both.
 func TestLookupTouchRecency(t *testing.T) {
 	c := New(Config{MaxEntries: 3, MaxBytes: 1 << 20})
 	keys := make([]Key, 4)
@@ -342,7 +260,7 @@ func TestLookupTouchRecency(t *testing.T) {
 		t.Fatal("Lookup should find key 0")
 	}
 	c.Put(keys[3], entry(1, 16))
-	if _, ok := c.Peek(keys[0]); ok {
+	if _, ok := c.Lookup(keys[0]); ok {
 		t.Fatal("Lookup refreshed recency: key 0 survived, key 1 evicted")
 	}
 	// Rebuild; Touch key 0 — now it must survive.
@@ -352,18 +270,23 @@ func TestLookupTouchRecency(t *testing.T) {
 	}
 	c.Touch(keys[0])
 	c.Put(keys[3], entry(1, 16))
-	if _, ok := c.Peek(keys[0]); !ok {
+	if _, ok := c.Lookup(keys[0]); !ok {
 		t.Fatal("Touch did not refresh recency: key 0 evicted")
 	}
-	if _, ok := c.Peek(keys[1]); ok {
+	if _, ok := c.Lookup(keys[1]); ok {
 		t.Fatal("key 1 should be the LRU victim after Touch(key 0)")
 	}
-	// Peek counts nothing.
-	before := c.Counters()
-	c.Peek(keys[0])
-	c.Peek(keys[1])
-	if after := c.Counters(); after != before {
-		t.Fatalf("Peek moved counters: %+v -> %+v", before, after)
+	// Get moves recency too: key 2 is now the oldest, until Get
+	// refreshes it.
+	if e, ok := c.Get(keys[2]); !ok || e.Subnet != 1 {
+		t.Fatalf("Get returned %+v, %v, want the rung-1 entry", e, ok)
+	}
+	c.Put(keys[1], entry(1, 16))
+	if _, ok := c.Lookup(keys[2]); !ok {
+		t.Fatal("Get did not refresh recency: key 2 evicted")
+	}
+	if _, ok := c.Lookup(keys[0]); ok {
+		t.Fatal("key 0 should be the LRU victim after Get(key 2)")
 	}
 }
 
@@ -374,7 +297,7 @@ func TestUnboundedConfig(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(KeyOf([]float64{float64(i)}), entry(1, 8))
 	}
-	if c.Len() != 100 || c.Counters().Evictions != 0 {
-		t.Fatalf("unbounded cache evicted: len %d, evictions %d", c.Len(), c.Counters().Evictions)
+	if st := c.Stats(); st.Len != 100 || st.Counters.Evictions != 0 {
+		t.Fatalf("unbounded cache evicted: len %d, evictions %d", st.Len, st.Counters.Evictions)
 	}
 }

@@ -118,18 +118,16 @@ func TestTopRungHitAnsweredBeforeTheQueue(t *testing.T) {
 }
 
 // TestKnownTextRewalksWhenTheCacheForgets is the memo's other half: a
-// text is known for good, a cache entry is not. After a calibration
-// refresh, a TTL expiry and an eviction, a request that arrives keyed
-// with only its text is asked for its floats, walks, and is answered
-// bitwise as the cold walk — and is a zero-MAC inline hit again on the
-// next repeat. This is what direct_repeat does 64 times per refresh.
+// text is known for good, a cache entry is not. On first sight, and
+// after a second input has pushed the entry out of a one-entry cache,
+// a request that arrives keyed with only its text is asked for its
+// floats, walks, and is answered bitwise as the cold walk — and is a
+// zero-MAC inline hit again on the next repeat.
 func TestKnownTextRewalksWhenTheCacheForgets(t *testing.T) {
 	m := buildModel(631)
 	imgLen := m.InC * m.InH * m.InW
-	clk := &fakeClock{}
 	sv, err := New(Config{
-		Model: m, Subnets: 3, Workers: 1, CacheEntries: 2,
-		CacheTTL: time.Second, CacheNow: clk.now,
+		Model: m, Subnets: 3, Workers: 1, CacheEntries: 1,
 		Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
 	})
 	if err != nil {
@@ -144,29 +142,14 @@ func TestKnownTextRewalksWhenTheCacheForgets(t *testing.T) {
 	}
 	known := Request{InputJSON: []byte("[0]"), Key: cache.KeyOf(in), Keyed: true}
 
-	forget := map[string]func(){
-		"first sight": func() {},
-		"calibration refresh": func() {
-			for i := 0; i < refreshMinObs; i++ {
-				sv.ref.observe(1, 123*time.Microsecond)
+	for round, cause := range []string{"first sight", "eviction", "a second eviction"} {
+		if round > 0 {
+			other := inputVec(uint64(640+round), imgLen)
+			if _, err := sv.Submit(Request{Input: other}); err != nil {
+				t.Fatal(err)
 			}
-			if !sv.refreshCalibration() {
-				t.Fatal("refresh with fresh observations did not publish")
-			}
-		},
-		"TTL expiry": func() { clk.advance(2 * time.Second) },
-		"eviction": func() {
-			for i := 0; i < 2; i++ {
-				other := inputVec(uint64(640+i), imgLen)
-				if _, err := sv.Submit(Request{Input: other}); err != nil {
-					t.Fatal(err)
-				}
-				waitEntry(t, sv, other, sv.n)
-			}
-		},
-	}
-	for _, cause := range []string{"first sight", "calibration refresh", "TTL expiry", "eviction"} {
-		forget[cause]()
+			waitEntry(t, sv, other, sv.n)
+		}
 		if _, err := sv.Submit(known); err != ErrInputNeeded {
 			t.Fatalf("%s: keyed text = %v, want ErrInputNeeded", cause, err)
 		}

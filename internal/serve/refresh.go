@@ -64,7 +64,9 @@ func (r *refresher) observed(s int) (time.Duration, int64) {
 // ladder away from has no fresher truth than its last calibration).
 // Returns whether a new model was published. Called by the background
 // refresh loop; exercised directly (with injected observations) by
-// the drift tests.
+// the drift tests. The cache is left alone: a cached walk is a pure
+// function of the input and the weights, and the latency model only
+// decides which rung a deadline affords.
 func (s *Server) refreshCalibration() bool {
 	cur := s.lat.Load()
 	times := make([]time.Duration, len(cur.StepTime))
@@ -84,13 +86,6 @@ func (s *Server) refreshCalibration() bool {
 		return false
 	}
 	s.lat.Store(next)
-	// A recalibration means the execution environment moved underneath
-	// the cache's stored walks; bump the generation so no resume seeds
-	// from state observed under the old calibration (entries are
-	// evicted lazily at their next lookup, counted under Invalidated).
-	if s.cache != nil {
-		s.cache.BumpGeneration()
-	}
 	s.stats.recordRefresh()
 	return true
 }

@@ -53,15 +53,14 @@ func (s *Server) serveCacheHits(batch []*pending, started time.Time) []*pending 
 	return keep
 }
 
-// CachePeek returns the live cache entry for k without counting a hit
-// or miss and without refreshing recency — how tests observe what a
-// walk published. The returned entry is shared and immutable. Always a
-// miss on a cache-less server.
+// CachePeek returns the cache entry for k without refreshing recency
+// — how tests observe what a walk published. The returned entry is
+// shared and immutable. Always a miss on a cache-less server.
 func (s *Server) CachePeek(k cache.Key) (*cache.Entry, bool) {
 	if s.cache == nil {
 		return nil, false
 	}
-	return s.cache.Peek(k)
+	return s.cache.Lookup(k)
 }
 
 // rowMargin returns the top-2 logit margin and the argmax of row i of

@@ -168,15 +168,6 @@ type Config struct {
 	// rungs whose argmax falls on that class. Arms the early exit just
 	// like ExitMargin.
 	ExitMargins []float64
-	// CacheTTL, when positive, bounds every cache entry's lifetime
-	// from its insertion: a repeat arriving past the TTL sees a miss
-	// (the stale entry is evicted, counted under CacheExpired) and
-	// walks cold. 0 means entries live until the LRU bounds or a
-	// generation bump remove them. Ignored when the cache is off.
-	CacheTTL time.Duration
-	// CacheNow overrides the cache's TTL clock — the injection point
-	// that makes expiry deterministic in tests. Nil means time.Now.
-	CacheNow func() time.Time
 }
 
 // withDefaults fills zero fields and validates the rest.
@@ -241,9 +232,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CacheEntries > 0 && c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.CacheTTL < 0 {
-		return c, fmt.Errorf("serve: negative CacheTTL %v", c.CacheTTL)
 	}
 	if c.ExitMargin < 0 {
 		return c, fmt.Errorf("serve: negative ExitMargin %v", c.ExitMargin)
@@ -484,8 +472,6 @@ func New(cfg Config) (*Server, error) {
 		s.cache = cache.New(cache.Config{
 			MaxEntries: cfg.CacheEntries,
 			MaxBytes:   cfg.CacheBytes,
-			TTL:        cfg.CacheTTL,
-			Now:        cfg.CacheNow,
 		})
 	}
 
@@ -568,18 +554,11 @@ func (s *Server) Stats() Snapshot {
 	snap.MinSubnet = s.cfg.MinSubnet
 	snap.ServiceEwmaMs = float64(s.svcNs.Load()) / float64(time.Millisecond)
 	if s.cache != nil {
-		// One coherent cache snapshot: separate Len/Bytes/Counters
-		// calls acquire the cache lock three times and can tear against
-		// concurrent Put/evict traffic (the gauges would disagree with
-		// the counters they are reported alongside).
 		cs := s.cache.Stats()
 		snap.CacheEnabled = true
 		snap.CacheEntries = cs.Len
 		snap.CacheBytes = cs.Bytes
 		snap.CacheEvictions = cs.Counters.Evictions
-		snap.CacheExpired = cs.Counters.Expired
-		snap.CacheInvalidated = cs.Counters.Invalidated
-		snap.CacheGeneration = cs.Generation
 	}
 	snap.InlineHits = s.inlineHits.Load()
 	snap.InputsKnown = s.inputsKnown.Load()
@@ -643,10 +622,10 @@ func (s *Server) Submit(req Request) (Result, error) {
 		if !req.Keyed {
 			key = cache.KeyOf(req.Input)
 		}
-		// A live entry at the top rung is answered here, on the caller's
+		// An entry at the top rung is answered here, on the caller's
 		// goroutine: no shed cap is narrower than a free answer, so queue,
-		// admission and workers have nothing to decide. A miss, a stale
-		// entry or one below the top queues and meets the worker's lookup.
+		// admission and workers have nothing to decide. A miss or an
+		// entry below the top queues and meets the worker's lookup.
 		if ent, ok := s.cache.Lookup(key); ok && ent.Subnet >= s.n {
 			if !s.Healthy() {
 				return Result{}, ErrClosed

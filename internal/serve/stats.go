@@ -303,20 +303,10 @@ type Snapshot struct {
 	CacheEntries int `json:"cache_entries"`
 	// CacheBytes gauges the cache's accounted memory footprint.
 	CacheBytes int64 `json:"cache_bytes"`
-	// CacheEvictions counts entries the cache removed for any reason:
-	// the LRU bounds, TTL expiry, or generation invalidation.
+	// CacheEvictions counts the entries the cache's LRU bounds
+	// (CacheEntries, CacheBytes) pushed out, the only way an entry
+	// leaves.
 	CacheEvictions int64 `json:"cache_evictions"`
-	// CacheExpired attributes evictions caused by the TTL bound
-	// (Config.CacheTTL): the entry was found past its lifetime at
-	// lookup and removed. Each also counts in CacheEvictions.
-	CacheExpired int64 `json:"cache_expired"`
-	// CacheInvalidated attributes evictions caused by a generation
-	// bump (a model or calibration swap underneath the cache). Each
-	// also counts in CacheEvictions.
-	CacheInvalidated int64 `json:"cache_invalidated"`
-	// CacheGeneration is the cache's current generation stamp —
-	// incremented on every calibration-refresh swap.
-	CacheGeneration uint64 `json:"cache_generation"`
 }
 
 // PolicySnapshot is the JSON shape of the overload governor's current
